@@ -13,16 +13,13 @@
  *  3. a verification pass whose uniform fingerprint keys force the
  *     oversized-group recursive-resolution path.
  *
- * `--legacy` re-runs the identical workload with
- * `OrchestratorConfig::reference_scan` set, i.e. on the retained
- * pre-index linear-scan decision paths. Both modes make byte-identical
- * decisions, so stdout is the same either way (and for any `--threads`
- * count); only the `--bench-json` record differs — its bench name is
- * `macro_campaign` or `macro_campaign_legacy`. CI compares the two
- * wall-clock records on the same machine (the speedup gate) and the
- * new-path record against the committed BENCH_BASELINE.json (the
- * workload-drift gate); see tools/compare_benchmarks.py and
- * docs/performance.md.
+ * stdout is the same for any `--threads` count. The `--bench-json`
+ * record (bench name `macro_campaign`) is compared by CI against the
+ * committed BENCH_BASELINE.json: an exact events_processed match (the
+ * workload-drift gate) and a loose cross-machine wall-clock bound; see
+ * tools/compare_benchmarks.py and docs/performance.md. This mode
+ * accepts only `--threads` and `--bench-json`; any other argument
+ * exits 2 with one line on stderr.
  *
  * `--sharded` instead drives ONE intra-trial-parallel campaign on the
  * sharded platform (faas::ShardedPlatform, docs/sharding.md): a
@@ -65,6 +62,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "channel/covert.hpp"
@@ -101,14 +99,13 @@ struct TrialMetrics
 };
 
 TrialMetrics
-runTrial(std::uint64_t seed, bool legacy)
+runTrial(std::uint64_t seed)
 {
     using namespace eaao;
 
     faas::PlatformConfig cfg;
     cfg.profile = faas::DataCenterProfile::usEast1();
     cfg.seed = seed;
-    cfg.orchestrator.reference_scan = legacy;
     faas::Platform platform(cfg);
     faas::Orchestrator &orch = platform.orchestrator();
     const auto acct = platform.createAccount(0);
@@ -713,14 +710,24 @@ int
 main(int argc, char **argv)
 {
     using namespace eaao;
-    bool legacy = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--sharded") == 0)
             return shardedMain(argc, argv);
         if (std::strcmp(argv[i], "--open-loop") == 0)
             return openLoopMain(argc, argv);
-        if (std::strcmp(argv[i], "--legacy") == 0)
-            legacy = true;
+    }
+    // The default mode takes only --threads and --bench-json, so a
+    // stale flag cannot silently run (and record) this workload.
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--threads" || arg == "--bench-json") {
+            ++i; // the value; a missing one is a fatal error below
+        } else if (!arg.starts_with("--threads=") &&
+                   !arg.starts_with("--bench-json=")) {
+            std::fprintf(stderr, "macro_campaign: unknown argument '%s'\n",
+                         argv[i]);
+            return 2;
+        }
     }
     const unsigned threads = support::threadsFromArgs(argc, argv);
 
@@ -728,14 +735,10 @@ main(int argc, char **argv)
                 "hot paths (us-east1, %zu trials) ===\n\n",
                 kTrials);
 
-    support::BenchTimer timer(
-        legacy ? "macro_campaign_legacy" : "macro_campaign", threads,
-        /*seed=*/4242);
+    support::BenchTimer timer("macro_campaign", threads, /*seed=*/4242);
     const std::vector<TrialMetrics> trials = exp::runTrials(
         kTrials, /*seed=*/4242,
-        [legacy](exp::TrialContext &trial) {
-            return runTrial(4242 + trial.index, legacy);
-        },
+        [](exp::TrialContext &trial) { return runTrial(4242 + trial.index); },
         threads);
     support::maybeWriteBenchJson(argc, argv, timer.stop());
 

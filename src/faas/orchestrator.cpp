@@ -25,7 +25,6 @@ Orchestrator::Orchestrator(Fleet &fleet, sim::EventQueue &eq,
 {
     host_load_.assign(fleet_.size());
     acct_load_.resize(fleet_.size());
-    svc_load_.resize(fleet_.size());
 
     slo_.latency_s.bounds = obs::requestLatencyBucketsS();
     slo_.latency_s.counts.assign(slo_.latency_s.bounds.size() + 1, 0);
@@ -79,8 +78,7 @@ Orchestrator::createAccount(std::optional<std::uint32_t> shard,
     accounts_.push_back(std::move(acct));
     base_index_.emplace_back();
     acct_active_.emplace_back();
-    if (!cfg_.reference_scan)
-        rebuildBaseIndex(accounts_.back());
+    rebuildBaseIndex(accounts_.back());
     return accounts_.back().id;
 }
 
@@ -102,10 +100,7 @@ Orchestrator::deployService(AccountId account, ExecEnv env,
                                       sim::mix64(svc.helper_seed));
     services_.push_back(std::move(svc));
     admission_.emplace_back();
-    if (cfg_.reference_scan)
-        svc_host_load_.emplace_back();
-    else
-        svc_host_load_.emplace_back(fleet_.size(), 0u);
+    svc_host_load_.emplace_back(fleet_.size(), 0u);
     return services_.back().id;
 }
 
@@ -219,8 +214,7 @@ Orchestrator::disconnectAll(ServiceId service)
             still_busy.push_back(id);
             continue;
         }
-        if (!cfg_.reference_scan)
-            routing_.remove(svc.id, inst.in_flight, inst.route_seq);
+        routing_.remove(svc.id, inst.in_flight, inst.route_seq);
         settleActiveTime(inst);
         inst.state = InstanceState::Idle;
         inst.state_since = eq_.now();
@@ -261,35 +255,21 @@ Orchestrator::routeRequest(ServiceId service, sim::Duration service_time)
 InstanceRecord *
 Orchestrator::findWarmTarget(ServiceRecord &svc)
 {
-    // 1. An active instance with spare concurrency. The routing index
-    // yields the same instance the legacy scan found: lowest in_flight,
+    // 1. An active instance with spare concurrency: lowest in_flight,
     // active-list order (== activation sequence) breaking ties.
-    InstanceRecord *target = nullptr;
-    if (cfg_.reference_scan) {
+    InstanceId best = routing_.leastLoaded(svc.id, svc.max_concurrency);
+    if (cfg_.fault_injection == 1) {
+        // Injected bug (mutation self-test): drop the lowest-in-flight
+        // rule and grab the most recently activated instance that
+        // still has spare concurrency.
+        best = kNoInstance;
         for (const InstanceId id : svc.active) {
-            InstanceRecord &inst = instances_[id];
-            if (inst.in_flight < svc.max_concurrency &&
-                (target == nullptr ||
-                 inst.in_flight < target->in_flight)) {
-                target = &inst;
-            }
+            if (instances_[id].in_flight < svc.max_concurrency)
+                best = id;
         }
-    } else {
-        InstanceId best =
-            routing_.leastLoaded(svc.id, svc.max_concurrency);
-        if (cfg_.fault_injection == 1) {
-            // Injected bug (mutation self-test): drop the
-            // lowest-in-flight rule and grab the most recently
-            // activated instance that still has spare concurrency.
-            best = kNoInstance;
-            for (const InstanceId id : svc.active) {
-                if (instances_[id].in_flight < svc.max_concurrency)
-                    best = id;
-            }
-        }
-        if (best != kNoInstance)
-            target = &instances_[best];
     }
+    InstanceRecord *target =
+        best == kNoInstance ? nullptr : &instances_[best];
 
     // 2. Wake an idle instance (most recently idled first).
     if (target == nullptr && !svc.idle.empty()) {
@@ -316,10 +296,8 @@ Orchestrator::occupy(ServiceRecord &svc, InstanceRecord &target,
 {
     const std::uint32_t old_in_flight = target.in_flight;
     ++target.in_flight;
-    if (!cfg_.reference_scan) {
-        routing_.reindex(svc.id, target.id, target.route_seq,
-                         old_in_flight, target.in_flight);
-    }
+    routing_.reindex(svc.id, target.id, target.route_seq, old_in_flight,
+                     target.in_flight);
     ++svc.requests_served;
     EAAO_OBS_COUNT(c_requests_, 1);
     const InstanceId id = target.id;
@@ -500,8 +478,7 @@ Orchestrator::completeRequest(InstanceId id)
     const std::uint32_t old_in_flight = inst.in_flight;
     --inst.in_flight;
     if (inst.in_flight > 0 || inst.state != InstanceState::Active) {
-        if (!cfg_.reference_scan &&
-            inst.state == InstanceState::Active) {
+        if (inst.state == InstanceState::Active) {
             routing_.reindex(inst.service, id, inst.route_seq,
                              old_in_flight, inst.in_flight);
         }
@@ -515,8 +492,7 @@ Orchestrator::completeRequest(InstanceId id)
     const auto it = std::find(act.begin(), act.end(), id);
     EAAO_ASSERT(it != act.end(), "active instance missing from list");
     act.erase(it);
-    if (!cfg_.reference_scan)
-        routing_.remove(inst.service, old_in_flight, inst.route_seq);
+    routing_.remove(inst.service, old_in_flight, inst.route_seq);
     settleActiveTime(inst);
     inst.state = InstanceState::Idle;
     inst.state_since = eq_.now();
@@ -569,8 +545,7 @@ Orchestrator::restartInstance(InstanceId id)
         InstanceRecord &inst = instances_[fresh];
         auto &act = svc.active;
         act.erase(std::find(act.begin(), act.end(), fresh));
-        if (!cfg_.reference_scan)
-            routing_.remove(svc.id, inst.in_flight, inst.route_seq);
+        routing_.remove(svc.id, inst.in_flight, inst.route_seq);
         settleActiveTime(inst);
         inst.state = InstanceState::Idle;
         inst.state_since = eq_.now();
@@ -607,24 +582,13 @@ Orchestrator::accountSpendUsd(AccountId id) const
     EAAO_ASSERT(id < accounts_.size(), "bad account ", id);
     double usd = accounts_[id].spend_usd;
     // Add the bill still running on currently-active instances. The
-    // account's active set is kept sorted by instance id, so the
-    // indexed sum visits the same instances in the same order as the
-    // full table scan — identical floating-point result.
-    if (cfg_.reference_scan) {
-        for (const auto &inst : instances_) {
-            if (inst.account == id &&
-                inst.state == InstanceState::Active) {
-                const double s =
-                    (eq_.now() - inst.state_since).secondsF();
-                usd += s * pricing_.usdPerActiveSecond(inst.size);
-            }
-        }
-    } else {
-        for (const InstanceId iid : acct_active_[id]) {
-            const InstanceRecord &inst = instances_[iid];
-            const double s = (eq_.now() - inst.state_since).secondsF();
-            usd += s * pricing_.usdPerActiveSecond(inst.size);
-        }
+    // account's active set is kept sorted by instance id, so the sum
+    // visits the same instances in the same order as a full table
+    // scan — identical floating-point result.
+    for (const InstanceId iid : acct_active_[id]) {
+        const InstanceRecord &inst = instances_[iid];
+        const double s = (eq_.now() - inst.state_since).secondsF();
+        usd += s * pricing_.usdPerActiveSecond(inst.size);
     }
     return usd;
 }
@@ -659,12 +623,9 @@ Orchestrator::createInstance(ServiceRecord &svc, std::uint32_t h)
 
     host_load_.add(host, inst.size.vcpus, inst.size.memory_gb);
     const std::uint32_t acct_on_host = ++acct_load_[host][inst.account];
-    ++svc_load_[host][inst.service];
     ++acct.live_count;
-    if (!cfg_.reference_scan) {
-        base_index_[inst.account].noteLoad(host, acct_on_host);
-        ++svc_host_load_[inst.service][host];
-    }
+    base_index_[inst.account].noteLoad(host, acct_on_host);
+    ++svc_host_load_[inst.service][host];
 
     svc.active.push_back(inst.id);
     noteActivated(svc, inst);
@@ -730,9 +691,6 @@ std::optional<hw::HostId>
 Orchestrator::pickBaseHost(const ServiceRecord &svc,
                            const AccountRecord &acct) const
 {
-    if (cfg_.reference_scan)
-        return pickBaseHostReference(svc, acct);
-
     const auto &order = acct.base_order;
     if (order.empty())
         return std::nullopt;
@@ -746,8 +704,8 @@ Orchestrator::pickBaseHost(const ServiceRecord &svc,
         --prefix; // injected bug (mutation self-test): prefix short by 1
 
     // The min-view's (load, position) key makes its argmin the first
-    // prefix host carrying the minimal load — the host the reference
-    // scan's first-strict-improvement rule selects.
+    // prefix host carrying the minimal load — the host a linear scan's
+    // first-strict-improvement rule selects.
     const PlacementMinIndex &index = base_index_[acct.id];
     while (true) {
         const auto host = index.pickMin(
@@ -755,41 +713,6 @@ Orchestrator::pickBaseHost(const ServiceRecord &svc,
             [&](hw::HostId hid) { return hasCapacity(hid, svc.size); });
         if (host)
             return host;
-        if (prefix == order.size())
-            return std::nullopt; // home shard is full
-        prefix = std::min(prefix * 2, order.size());
-    }
-}
-
-std::optional<hw::HostId>
-Orchestrator::pickBaseHostReference(const ServiceRecord &svc,
-                                    const AccountRecord &acct) const
-{
-    const auto &order = acct.base_order;
-    if (order.empty())
-        return std::nullopt;
-
-    auto prefix = static_cast<std::size_t>(std::ceil(
-        static_cast<double>(acct.live_count + 1) / cfg_.spread_target));
-    prefix = std::clamp<std::size_t>(prefix, 1, order.size());
-
-    while (true) {
-        const hw::HostId *best = nullptr;
-        std::uint32_t best_load = 0;
-        for (std::size_t i = 0; i < prefix; ++i) {
-            const hw::HostId hid = order[i];
-            if (!hasCapacity(hid, svc.size))
-                continue;
-            const auto &loads = acct_load_[hid];
-            const auto it = loads.find(acct.id);
-            const std::uint32_t load = it == loads.end() ? 0 : it->second;
-            if (best == nullptr || load < best_load) {
-                best = &order[i];
-                best_load = load;
-            }
-        }
-        if (best != nullptr)
-            return *best;
         if (prefix == order.size())
             return std::nullopt; // home shard is full
         prefix = std::min(prefix * 2, order.size());
@@ -817,11 +740,8 @@ Orchestrator::pickHelperHost(const ServiceRecord &svc,
                                     profile_.helper_chunk,
                                 helpers.size()));
 
-    // Hoisted dense per-host loads of this service (indexed mode): one
-    // array read per candidate instead of a SmallFlatMap lookup. The
-    // scan itself is unchanged, so the selection is identical.
-    const std::uint32_t *dense =
-        cfg_.reference_scan ? nullptr : svc_host_load_[svc.id].data();
+    // This service's live instances per host.
+    const std::uint32_t *load = svc_host_load_[svc.id].data();
 
     while (true) {
         const hw::HostId *best = nullptr;
@@ -829,17 +749,9 @@ Orchestrator::pickHelperHost(const ServiceRecord &svc,
         auto consider = [&](const hw::HostId &hid) {
             if (!hasCapacity(hid, svc.size))
                 return;
-            std::uint32_t load;
-            if (dense != nullptr) {
-                load = dense[hid];
-            } else {
-                const auto &loads = svc_load_[hid];
-                const auto it = loads.find(svc.id);
-                load = it == loads.end() ? 0 : it->second;
-            }
-            if (best == nullptr || load < best_load) {
+            if (best == nullptr || load[hid] < best_load) {
                 best = &hid;
-                best_load = load;
+                best_load = load[hid];
             }
         };
         for (std::size_t i = 0; i < base_prefix; ++i)
@@ -873,8 +785,7 @@ Orchestrator::pickSpillHost(const ServiceRecord &svc) const
         cfg_.spread_target));
     prefix = std::clamp<std::size_t>(prefix, 1, order.size());
 
-    const std::uint32_t *dense =
-        cfg_.reference_scan ? nullptr : svc_host_load_[svc.id].data();
+    const std::uint32_t *load = svc_host_load_[svc.id].data();
 
     while (true) {
         const hw::HostId *best = nullptr;
@@ -883,17 +794,9 @@ Orchestrator::pickSpillHost(const ServiceRecord &svc) const
             const hw::HostId hid = order[i];
             if (!hasCapacity(hid, svc.size))
                 continue;
-            std::uint32_t load;
-            if (dense != nullptr) {
-                load = dense[hid];
-            } else {
-                const auto &loads = svc_load_[hid];
-                const auto it = loads.find(svc.id);
-                load = it == loads.end() ? 0 : it->second;
-            }
-            if (best == nullptr || load < best_load) {
+            if (best == nullptr || load[hid] < best_load) {
                 best = &order[i];
-                best_load = load;
+                best_load = load[hid];
             }
         }
         if (best != nullptr)
@@ -955,8 +858,7 @@ Orchestrator::terminate(InstanceRecord &inst)
         const auto it = std::find(act.begin(), act.end(), inst.id);
         if (it != act.end()) {
             act.erase(it);
-            if (!cfg_.reference_scan)
-                routing_.remove(svc.id, inst.in_flight, inst.route_seq);
+            routing_.remove(svc.id, inst.in_flight, inst.route_seq);
         }
     }
     // Callers handling Idle instances remove them from svc.idle.
@@ -967,13 +869,8 @@ Orchestrator::terminate(InstanceRecord &inst)
     const std::uint32_t acct_on_host = --acct_loads[inst.account];
     if (acct_on_host == 0)
         acct_loads.erase(inst.account);
-    auto &svc_loads = svc_load_[inst.host];
-    if (--svc_loads[inst.service] == 0)
-        svc_loads.erase(inst.service);
-    if (!cfg_.reference_scan) {
-        base_index_[inst.account].noteLoad(inst.host, acct_on_host);
-        --svc_host_load_[inst.service][inst.host];
-    }
+    base_index_[inst.account].noteLoad(inst.host, acct_on_host);
+    --svc_host_load_[inst.service][inst.host];
     EAAO_ASSERT(acct.live_count > 0, "live-count underflow");
     --acct.live_count;
 
@@ -1000,21 +897,16 @@ Orchestrator::settleActiveTime(InstanceRecord &inst)
         s * pricing_.usdPerActiveSecond(inst.size);
     // Every transition out of Active settles here, so this is the one
     // place the account's active set needs maintenance on exit.
-    if (!cfg_.reference_scan) {
-        auto &act = acct_active_[inst.account];
-        const auto it =
-            std::lower_bound(act.begin(), act.end(), inst.id);
-        EAAO_ASSERT(it != act.end() && *it == inst.id,
-                    "active set out of sync for instance ", inst.id);
-        act.erase(it);
-    }
+    auto &act = acct_active_[inst.account];
+    const auto it = std::lower_bound(act.begin(), act.end(), inst.id);
+    EAAO_ASSERT(it != act.end() && *it == inst.id,
+                "active set out of sync for instance ", inst.id);
+    act.erase(it);
 }
 
 void
 Orchestrator::noteActivated(ServiceRecord &svc, InstanceRecord &inst)
 {
-    if (cfg_.reference_scan)
-        return;
     inst.route_seq = routing_.add(svc.id, inst.id, inst.in_flight);
     auto &act = acct_active_[inst.account];
     act.insert(std::lower_bound(act.begin(), act.end(), inst.id),
@@ -1179,16 +1071,8 @@ Orchestrator::rebuildDerivedState()
     admission_.resize(services_.size());
     acct_load_.assign(fleet_.size(),
                       support::SmallFlatMap<AccountId, std::uint32_t>{});
-    svc_load_.assign(fleet_.size(),
-                     support::SmallFlatMap<ServiceId, std::uint32_t>{});
-    svc_host_load_.clear();
-    svc_host_load_.reserve(services_.size());
-    for (std::size_t i = 0; i < services_.size(); ++i) {
-        if (cfg_.reference_scan)
-            svc_host_load_.emplace_back();
-        else
-            svc_host_load_.emplace_back(fleet_.size(), 0u);
-    }
+    svc_host_load_.assign(services_.size(),
+                          std::vector<std::uint32_t>(fleet_.size(), 0u));
     acct_active_.assign(accounts_.size(), {});
     // Keep the restored activation counter; re-key every Active
     // instance with its original route_seq.
@@ -1197,23 +1081,18 @@ Orchestrator::rebuildDerivedState()
         if (inst.state == InstanceState::Terminated)
             continue;
         ++acct_load_[inst.host][inst.account];
-        ++svc_load_[inst.host][inst.service];
-        if (!cfg_.reference_scan) {
-            ++svc_host_load_[inst.service][inst.host];
-            if (inst.state == InstanceState::Active) {
-                routing_.insertRestored(inst.service, inst.id,
-                                        inst.in_flight, inst.route_seq);
-                // instances_ is id-ordered, so pushes arrive sorted.
-                acct_active_[inst.account].push_back(inst.id);
-            }
+        ++svc_host_load_[inst.service][inst.host];
+        if (inst.state == InstanceState::Active) {
+            routing_.insertRestored(inst.service, inst.id, inst.in_flight,
+                                    inst.route_seq);
+            // instances_ is id-ordered, so pushes arrive sorted.
+            acct_active_[inst.account].push_back(inst.id);
         }
     }
     base_index_.clear();
     base_index_.resize(accounts_.size());
-    if (!cfg_.reference_scan) {
-        for (const AccountRecord &acct : accounts_)
-            rebuildBaseIndex(acct);
-    }
+    for (const AccountRecord &acct : accounts_)
+        rebuildBaseIndex(acct);
 }
 
 void
@@ -1226,8 +1105,7 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
         // regenerate the helper permutation each launch.
         acct.base_order =
             buildBaseOrder(acct, profile_.per_launch_jitter, stream);
-        if (!cfg_.reference_scan)
-            rebuildBaseIndex(acct);
+        rebuildBaseIndex(acct);
 #if EAAO_OBS_ENABLED
         // Helper-set churn: fraction of the previous helper prefix (the
         // ~50 hosts a hot service actually reaches) absent from the new
@@ -1263,8 +1141,7 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
         // and out of the base prefix between launches (Fig. 7).
         acct.base_order =
             buildBaseOrder(acct, profile_.base_launch_jitter, stream);
-        if (!cfg_.reference_scan)
-            rebuildBaseIndex(acct);
+        rebuildBaseIndex(acct);
     }
 }
 

@@ -122,23 +122,15 @@ struct OrchestratorConfig
     bool isolate_accounts = false;
 
     /**
-     * Keep the pre-index linear-scan decision paths (prefix re-scan
-     * with a map lookup per placement candidate, full active-list scan
-     * per routed request, full instance-table scan per spend query)
-     * and skip index maintenance entirely. Decisions are byte-identical
-     * either way; this mode exists as the property-test oracle and as
-     * an honest same-machine baseline for `bench/macro_campaign`.
-     */
-    bool reference_scan = false;
-
-    /**
      * Deliberate bug injection for the scenario fuzzer's mutation
      * self-test (`tools/fuzz_scenarios --inject-fault N`; see
-     * docs/testing.md). The faults perturb only the *indexed* decision
-     * paths, so the indexed-vs-reference oracle is the one that must
-     * catch them. 0 = off; 1 = routing takes the most recently
-     * activated spare instance instead of the least-loaded one;
-     * 2 = cold placement's demand prefix is off by one.
+     * docs/testing.md). Modes 1 and 2 perturb the indexed decision
+     * paths, so the `reference` oracle — testkit's brute-force
+     * recomputation of each decision (src/testkit/reference.hpp) — is
+     * the one that must catch them. 0 = off; 1 = routing takes the
+     * most recently activated spare instance instead of the
+     * least-loaded one; 2 = cold placement's demand prefix is one
+     * host short.
      *
      * Modes 3 and 4 live in the *sharded* cross-lane exchange path
      * (faas::ShardedPlatform; see docs/sharding.md): 3 = window
@@ -466,11 +458,6 @@ class Orchestrator
                                            const AccountRecord &acct)
         const;
 
-    /** Pre-index linear-scan body of pickBaseHost (reference mode). */
-    std::optional<hw::HostId>
-    pickBaseHostReference(const ServiceRecord &svc,
-                          const AccountRecord &acct) const;
-
     /**
      * Hot path: least-loaded host among the demand-sized base prefix
      * plus the hotness-sized helper prefix (the load balancer relieves
@@ -604,27 +591,26 @@ class Orchestrator
     support::HostLoadSoA host_load_;
     const support::HostLoadSoA *committed_load_ = nullptr;
     /**
-     * Per-host instance count by account / by service (live
-     * instances). Host-local cardinality is ~10 (Obs 1), so a sorted
-     * vector beats a hash table on the placement hot path and iterates
+     * Per-host live-instance count by account, the source the base
+     * min-views are rebuilt from. Host-local cardinality is ~10
+     * (Obs 1), so a sorted vector beats a hash table and iterates
      * deterministically.
      */
     std::vector<support::SmallFlatMap<AccountId, std::uint32_t>> acct_load_;
-    std::vector<support::SmallFlatMap<ServiceId, std::uint32_t>> svc_load_;
 
     /**
-     * Incremental decision indexes (empty shells when
-     * cfg_.reference_scan — the maps above stay the source of truth
-     * either way; see docs/performance.md for the invariants).
+     * Incremental decision indexes. Each reproduces a brute-force
+     * recomputation in src/testkit/reference.hpp exactly; see
+     * docs/performance.md for the invariants.
      */
     RoutingIndex routing_;                        //!< least-loaded routing
     std::vector<PlacementMinIndex> base_index_;   //!< per account
     /** Per account: Active instance ids, sorted ascending (so the
-     *  incremental spend query sums in the same order the legacy full
-     *  scan did — bit-identical doubles). */
+     *  spend query sums in the same order a full instance-table scan
+     *  does — bit-identical doubles). */
     std::vector<std::vector<InstanceId>> acct_active_;
-    /** Per service: dense per-host live-instance counts (replaces the
-     *  SmallFlatMap lookup per helper/spill scan candidate). */
+    /** Per service: dense per-host live-instance counts, read by the
+     *  helper and spill scans. */
     std::vector<std::vector<std::uint32_t>> svc_host_load_;
 };
 

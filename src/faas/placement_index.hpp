@@ -11,10 +11,12 @@
  * itself is re-jittered (at most once per launch — the same cadence at
  * which the order was already being rebuilt).
  *
- * Selection semantics are identical to the legacy scan: first position
- * in order carrying the minimal load of this account, skipping hosts
- * without capacity (see min_load_tree.hpp for why the tree's argmin
- * reproduces the first-strict-improvement tie-break).
+ * Selection semantics are those of a linear prefix scan: first
+ * position in order carrying the minimal load of this account,
+ * skipping hosts without capacity (see min_load_tree.hpp for why the
+ * tree's argmin reproduces the first-strict-improvement tie-break).
+ * testkit::referenceBaseHost is that scan, recomputed from the
+ * orchestrator's records; the `reference` oracle holds the two equal.
  */
 
 #ifndef EAAO_FAAS_PLACEMENT_INDEX_HPP

@@ -9,12 +9,12 @@
  * keyed by `(service, in_flight, activation seq)`, so the least-loaded
  * routable instance of a service is a single lower_bound away.
  *
- * Determinism: the legacy scan picks the *first* instance in
- * active-list order among those with the minimal `in_flight`. An
- * instance's position in the active list is fixed at activation
- * (entries are only appended and erased, never reordered), so a
- * monotonically increasing activation sequence number reproduces the
- * list order exactly — the set's `(in_flight, seq)` minimum is the
+ * Determinism: a linear scan (testkit::referenceWarmTarget) picks the
+ * *first* instance in active-list order among those with the minimal
+ * `in_flight`. An instance's position in the active list is fixed at
+ * activation (entries are only appended and erased, never reordered),
+ * so a monotonically increasing activation sequence number reproduces
+ * the list order exactly — the set's `(in_flight, seq)` minimum is the
  * same instance the scan finds, byte for byte.
  */
 

@@ -470,7 +470,6 @@ Snapshotter::configFingerprint(const faas::ShardedConfig &cfg)
     mixU(o.admission_depth);
     mixU(static_cast<std::uint64_t>(o.shed_policy));
     mixU(o.isolate_accounts ? 1 : 0);
-    mixU(o.reference_scan ? 1 : 0);
     mixU(o.fault_injection);
 
     const hw::TscConfig &t = cfg.tsc;

@@ -13,9 +13,9 @@
  * Each leaf holds the key `(load << 32) | position`; internal nodes
  * hold the minimum key of their subtree. Because the position is the
  * low part of the key, the tree's minimum is exactly the *first*
- * position carrying the minimal load — the same host the legacy
- * first-strict-improvement scan selects, which is what keeps indexed
- * placement byte-identical to the reference scan.
+ * position carrying the minimal load — the same host a
+ * first-strict-improvement linear scan selects, which is what keeps
+ * indexed placement equal to testkit's brute-force reference.
  */
 
 #ifndef EAAO_SUPPORT_MIN_LOAD_TREE_HPP

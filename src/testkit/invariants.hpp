@@ -3,11 +3,14 @@
  * The invariant oracles the scenario fuzzer checks on every scenario.
  *
  * Each oracle compares two executions that the codebase promises are
- * equivalent, or checks an internal conservation law:
+ * equivalent, or checks a decision or conservation law inside one:
  *
- *  - reference: the incremental placement/routing/spend indexes must
- *    reproduce the pre-index linear scans byte-for-byte
- *    (OrchestratorConfig::reference_scan).
+ *  - reference: every route target, cold-base placement and spend
+ *    probe the serial runner drives must equal its brute-force
+ *    recomputation from the orchestrator's records
+ *    (testkit/reference.hpp), checked inside the primary run. This is
+ *    the oracle that catches the indexed decision paths' planted
+ *    faults (fault_injection 1/2).
  *  - threads: an exp::runTrials campaign over the scenario must render
  *    identical logs, merged metrics JSON, and Chrome trace JSON for
  *    1 worker and N workers.

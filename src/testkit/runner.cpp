@@ -15,6 +15,7 @@
 #include "faas/workload.hpp"
 #include "obs/metrics.hpp"
 #include "snap/snapshotter.hpp"
+#include "testkit/reference.hpp"
 
 namespace eaao::testkit {
 
@@ -188,18 +189,17 @@ runScenario(const Scenario &scenario, const RunOptions &opts)
     cfg.profile = profileOf(scenario.profile);
     if (scenario.host_count != 0)
         cfg.profile.host_count = scenario.host_count;
-    cfg.orchestrator.reference_scan = opts.reference_scan;
     cfg.orchestrator.isolate_accounts = scenario.isolate_accounts;
     if (scenario.hot_burst_min != 0)
         cfg.orchestrator.hot_burst_min = scenario.hot_burst_min;
-    cfg.orchestrator.fault_injection =
-        opts.fault_override != ~0u ? opts.fault_override : scenario.fault;
+    cfg.orchestrator.fault_injection = scenario.fault;
     cfg.seed = opts.seed_override != 0 ? opts.seed_override : scenario.seed;
     cfg.obs = opts.obs;
 
     faas::Platform platform(cfg);
     faas::PlacementTrace trace;
     platform.orchestrator().attachTrace(&trace);
+    ReferenceAudit audit(platform, trace);
 
     std::vector<faas::AccountId> accounts;
     std::vector<faas::ServiceId> services;
@@ -235,16 +235,17 @@ runScenario(const Scenario &scenario, const RunOptions &opts)
         const std::size_t trace_mark = trace.events().size();
         const faas::ServiceId svc =
             services[st.target % services.size()];
+        const std::string where = "step " + std::to_string(step_no);
         switch (st.kind) {
         case ScenarioStep::Kind::Connect:
-            platform.connect(svc, st.a == 0 ? 1 : st.a);
+            audit.connect(svc, st.a == 0 ? 1 : st.a, where);
             break;
         case ScenarioStep::Kind::Disconnect:
             platform.disconnectAll(svc);
             break;
         case ScenarioStep::Kind::Route: {
-            const faas::InstanceId inst = platform.orchestrator().routeRequest(
-                svc, sim::Duration::millis(st.a == 0 ? 1 : st.a));
+            const faas::InstanceId inst = audit.route(
+                svc, sim::Duration::millis(st.a == 0 ? 1 : st.a), where);
             std::ostringstream line;
             line << "step=" << step_no << " inst=" << inst
                  << " host=" << platform.oracleHostOf(inst);
@@ -256,8 +257,8 @@ runScenario(const Scenario &scenario, const RunOptions &opts)
             const sim::Duration svc_time =
                 sim::Duration::millis(st.b == 0 ? 1 : st.b);
             for (std::uint32_t i = 0; i < n; ++i) {
-                const faas::InstanceId inst =
-                    platform.orchestrator().routeRequest(svc, svc_time);
+                const faas::InstanceId inst = audit.route(
+                    svc, svc_time, where + "." + std::to_string(i));
                 std::ostringstream line;
                 line << "step=" << step_no << "." << i << " inst=" << inst
                      << " host=" << platform.oracleHostOf(inst);
@@ -278,7 +279,7 @@ runScenario(const Scenario &scenario, const RunOptions &opts)
             if (platform.instanceInfo(victim).state ==
                 faas::InstanceState::Terminated)
                 break;
-            const faas::InstanceId repl = platform.restartInstance(victim);
+            const faas::InstanceId repl = audit.restart(victim, where);
             std::ostringstream line;
             line << "step=" << step_no << " old=" << victim
                  << " new=" << repl;
@@ -300,9 +301,8 @@ runScenario(const Scenario &scenario, const RunOptions &opts)
         case ScenarioStep::Kind::SpendProbe:
             for (std::size_t a = 0; a < accounts.size(); ++a) {
                 std::ostringstream line;
-                line << "step=" << step_no << " acct=" << a
-                     << " usd=" << fmtUsd(platform.accountSpendUsd(
-                            accounts[a]));
+                line << "step=" << step_no << " acct=" << a << " usd="
+                     << fmtUsd(audit.spend(accounts[a], where));
                 log.spend.push_back(line.str());
             }
             break;
@@ -310,7 +310,7 @@ runScenario(const Scenario &scenario, const RunOptions &opts)
             const faas::ArrivalSpec spec = openLoopSpecOf(st);
             // Engine streams fork from the scenario seed + step label,
             // so the draw sequence is a scenario property shared by
-            // every oracle arm (reference / threads / obs).
+            // every oracle arm (threads / obs).
             faas::ArrivalEngine engine(
                 platform, svc, spec,
                 sim::Rng(cfg.seed).fork(0x4f4c0000ULL + step_no));
@@ -340,7 +340,8 @@ runScenario(const Scenario &scenario, const RunOptions &opts)
     platform.advance(sim::Duration::minutes(20));
 
     for (const faas::AccountId id : accounts)
-        log.final_spend_usd.push_back(platform.accountSpendUsd(id));
+        log.final_spend_usd.push_back(audit.spend(id, "final spend"));
+    log.reference_mismatch = audit.mismatch();
     log.slo = renderSlo(platform.orchestrator().sloStats());
     log.trace = trace.events();
     log.instance_count = platform.orchestrator().instanceCount();
@@ -363,8 +364,7 @@ shardedConfigOf(const Scenario &scenario, const ShardedRunOptions &opts)
     cfg.orchestrator.isolate_accounts = scenario.isolate_accounts;
     if (scenario.hot_burst_min != 0)
         cfg.orchestrator.hot_burst_min = scenario.hot_burst_min;
-    cfg.orchestrator.fault_injection =
-        opts.fault_override != ~0u ? opts.fault_override : scenario.fault;
+    cfg.orchestrator.fault_injection = scenario.fault;
     cfg.seed = opts.seed_override != 0 ? opts.seed_override : scenario.seed;
     cfg.shards = opts.shards;
     cfg.threads = opts.threads;

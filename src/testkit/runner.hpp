@@ -31,12 +31,6 @@ namespace eaao::testkit {
 /** Knobs of one scenario execution. */
 struct RunOptions
 {
-    /** Run the orchestrator's pre-index linear-scan oracle paths. */
-    bool reference_scan = false;
-
-    /** Force this fault_injection value; ~0u keeps the scenario's. */
-    std::uint32_t fault_override = ~0u;
-
     /** Observability handle wired into PlatformConfig. */
     obs::Observer obs;
 
@@ -90,6 +84,11 @@ struct ScenarioLog
     std::uint64_t events_cancelled = 0;
     std::uint64_t events_pending = 0;
 
+    /** First runner-driven decision that disagreed with its
+     *  brute-force reference (ReferenceAudit::mismatch); empty when all
+     *  agreed. Not part of render(). */
+    std::string reference_mismatch;
+
     /** Canonical text form; doubles rendered with %.17g. */
     std::string render() const;
 };
@@ -98,7 +97,9 @@ struct ScenarioLog
  * Execute @p scenario. Steps that reference terminated instances or
  * hit platform clamps are made total deterministically (documented per
  * step in the implementation), so every generated scenario is
- * runnable. Ends with a 20-minute drain so all reaps settle.
+ * runnable. Ends with a 20-minute drain so all reaps settle. Every
+ * decision the runner drives is audited against its brute-force
+ * reference as it is made (ScenarioLog::reference_mismatch).
  */
 ScenarioLog runScenario(const Scenario &scenario, const RunOptions &opts = {});
 
@@ -107,9 +108,6 @@ struct ShardedRunOptions
 {
     std::uint32_t shards = 1;  //!< worker groups over the fixed lanes
     unsigned threads = 1;      //!< pool threads driving the groups
-
-    /** Force this fault_injection value; ~0u keeps the scenario's. */
-    std::uint32_t fault_override = ~0u;
 
     /** Per-lane recording slots; prepared to lane count when set. */
     obs::TrialSet *obs = nullptr;
@@ -146,7 +144,7 @@ std::string runScenarioSharded(const Scenario &scenario,
 /**
  * Resume a sharded scenario run from @p image (captured by
  * runScenarioSharded with snapshot_out set, under the same scenario
- * and fault/seed overrides; shards/threads may differ). On success
+ * and seed override; shards/threads may differ). On success
  * @p log receives the completed run's canonical log — byte-identical
  * to the uninterrupted run's. On restore failure returns false with a
  * one-line reason in @p error.

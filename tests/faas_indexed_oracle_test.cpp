@@ -1,33 +1,30 @@
 /**
  * @file
  * Indexed-vs-reference oracle: the incremental placement/routing/spend
- * indexes must reproduce the retained linear-scan decision paths
- * exactly, not just statistically.
- *
- * `OrchestratorConfig::reference_scan` keeps the pre-index
- * implementations alive (full base-prefix scans, active-list routing
- * scans, whole-table spend scans). A randomized multi-service workload
- * is scripted once and replayed against both modes from the same seed;
- * every observable decision — placed hosts, placement reasons, routing
- * targets, restart replacements, account spend at arbitrary poll
- * points — must be identical. Spend is compared with EXPECT_EQ on
- * doubles, i.e. bit-exact, which is stronger than the "agree to the
- * cent" contract the experiments rely on.
+ * indexes must make exactly the decisions their brute-force
+ * definitions (testkit/reference.hpp) make, not just statistically
+ * similar ones. A randomized multi-service workload runs once under a
+ * testkit::ReferenceAudit, which checks every routed request, cold-base
+ * placement and spend poll as it happens. Spend is compared
+ * bit-exactly, which is stronger than the "agree to the cent" contract
+ * the experiments rely on.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "faas/platform.hpp"
 #include "faas/trace.hpp"
 #include "sim/rng.hpp"
+#include "testkit/reference.hpp"
 
 namespace eaao {
 namespace {
 
-/** One scripted operation; sampled once, replayed on both platforms. */
+/** One scripted operation of the random workload. */
 struct Op
 {
     enum Kind : std::uint8_t {
@@ -72,31 +69,32 @@ makeScript(std::uint64_t seed, std::size_t steps)
     return script;
 }
 
-/** Everything observable from one replay of the script. */
-struct WorkloadLog
+/** What one audited replay of the script did. */
+struct AuditedRun
 {
-    std::vector<faas::PlacementEvent> trace;
-    std::vector<faas::InstanceId> routed;
-    std::vector<faas::InstanceId> restarted;
-    std::vector<double> spend;
-    std::size_t instance_count = 0;
-    double final_spend_a = 0.0;
-    double final_spend_b = 0.0;
+    std::string mismatch;      //!< first disagreement; empty if none
+    std::size_t cold_base = 0; //!< audited cold-base placements
 };
 
-WorkloadLog
-runWorkload(const std::vector<Op> &script, std::uint64_t seed,
-            bool reference)
+faas::PlatformConfig
+eastConfig(std::uint64_t seed, std::uint32_t fault = 0)
 {
     faas::PlatformConfig cfg;
     cfg.profile = faas::DataCenterProfile::usEast1();
     cfg.seed = seed;
-    cfg.orchestrator.reference_scan = reference;
+    cfg.orchestrator.fault_injection = fault;
+    return cfg;
+}
+
+AuditedRun
+runWorkload(const std::vector<Op> &script, const faas::PlatformConfig &cfg)
+{
     faas::Platform platform(cfg);
     faas::Orchestrator &orch = platform.orchestrator();
 
     faas::PlacementTrace trace;
     orch.attachTrace(&trace);
+    testkit::ReferenceAudit audit(platform, trace);
 
     const auto acct_a = platform.createAccount();
     const auto acct_b = platform.createAccount(2);
@@ -105,20 +103,20 @@ runWorkload(const std::vector<Op> &script, std::uint64_t seed,
         svcs.push_back(platform.deployService(acct_a, faas::ExecEnv::Gen1));
     svcs.push_back(platform.deployService(acct_b, faas::ExecEnv::Gen1));
 
-    WorkloadLog log;
     std::vector<faas::InstanceId> created;
-    for (const Op &op : script) {
+    for (std::size_t i = 0; i < script.size(); ++i) {
+        const Op &op = script[i];
+        const std::string where = "op " + std::to_string(i);
         const auto svc = svcs[op.a % svcs.size()];
         switch (op.kind) {
         case Op::Route: {
             const double service_s =
                 0.02 + 0.01 * static_cast<double>(op.b % 6);
-            log.routed.push_back(orch.routeRequest(
-                svc, sim::Duration::fromSecondsF(service_s)));
+            audit.route(svc, sim::Duration::fromSecondsF(service_s), where);
             break;
         }
         case Op::Connect: {
-            const auto ids = platform.connect(svc, 10 + op.b % 50);
+            const auto ids = audit.connect(svc, 10 + op.b % 50, where);
             created.insert(created.end(), ids.begin(), ids.end());
             break;
         }
@@ -127,8 +125,8 @@ runWorkload(const std::vector<Op> &script, std::uint64_t seed,
                 sim::Duration::fromSecondsF(0.05 + 0.25 * (op.b % 8)));
             break;
         case Op::SpendProbe:
-            log.spend.push_back(platform.accountSpendUsd(acct_a));
-            log.spend.push_back(platform.accountSpendUsd(acct_b));
+            audit.spend(acct_a, where);
+            audit.spend(acct_b, where);
             break;
         case Op::DisconnectAll:
             platform.disconnectAll(svc);
@@ -140,7 +138,7 @@ runWorkload(const std::vector<Op> &script, std::uint64_t seed,
             if (platform.instanceInfo(id).state ==
                 faas::InstanceState::Terminated)
                 break;
-            log.restarted.push_back(platform.restartInstance(id));
+            audit.restart(id, where);
             break;
         }
         case Op::SetConcurrency:
@@ -152,50 +150,35 @@ runWorkload(const std::vector<Op> &script, std::uint64_t seed,
     // Let in-flight work and idle reaps settle, then take the final
     // spends (the settle-on-transition paths all fire here).
     platform.advance(sim::Duration::minutes(30));
-    log.final_spend_a = platform.accountSpendUsd(acct_a);
-    log.final_spend_b = platform.accountSpendUsd(acct_b);
-    log.instance_count = orch.instanceCount();
+    audit.spend(acct_a, "final");
+    audit.spend(acct_b, "final");
 
     orch.attachTrace(nullptr);
-    log.trace = trace.events();
-    return log;
-}
-
-void
-expectIdentical(const WorkloadLog &idx, const WorkloadLog &ref)
-{
-    ASSERT_EQ(idx.trace.size(), ref.trace.size());
-    for (std::size_t i = 0; i < idx.trace.size(); ++i) {
-        const faas::PlacementEvent &a = idx.trace[i];
-        const faas::PlacementEvent &b = ref.trace[i];
-        ASSERT_EQ(a.when, b.when) << "event " << i;
-        ASSERT_EQ(a.instance, b.instance) << "event " << i;
-        ASSERT_EQ(a.service, b.service) << "event " << i;
-        ASSERT_EQ(a.account, b.account) << "event " << i;
-        ASSERT_EQ(a.host, b.host) << "event " << i;
-        ASSERT_EQ(a.reason, b.reason) << "event " << i;
-    }
-    ASSERT_EQ(idx.routed, ref.routed);
-    ASSERT_EQ(idx.restarted, ref.restarted);
-    ASSERT_EQ(idx.spend.size(), ref.spend.size());
-    for (std::size_t i = 0; i < idx.spend.size(); ++i)
-        EXPECT_EQ(idx.spend[i], ref.spend[i]) << "spend probe " << i;
-    EXPECT_EQ(idx.final_spend_a, ref.final_spend_a);
-    EXPECT_EQ(idx.final_spend_b, ref.final_spend_b);
-    EXPECT_EQ(idx.instance_count, ref.instance_count);
+    return {audit.mismatch(),
+            trace.countByReason(faas::PlacementReason::ColdBase)};
 }
 
 TEST(IndexedOracle, RandomWorkloadMatchesReferenceScan)
 {
     for (const std::uint64_t seed : {7ULL, 20260806ULL, 999331ULL}) {
         SCOPED_TRACE(testing::Message() << "seed " << seed);
-        const auto script = makeScript(seed ^ 0x5eed, 400);
-        const WorkloadLog idx = runWorkload(script, seed, false);
-        const WorkloadLog ref = runWorkload(script, seed, true);
-        ASSERT_FALSE(idx.trace.empty());
-        ASSERT_FALSE(idx.routed.empty());
-        ASSERT_FALSE(idx.spend.empty());
-        expectIdentical(idx, ref);
+        const AuditedRun run =
+            runWorkload(makeScript(seed ^ 0x5eed, 400), eastConfig(seed));
+        EXPECT_EQ(run.mismatch, "");
+        EXPECT_GT(run.cold_base, 0u);
+    }
+}
+
+TEST(IndexedOracle, AuditCatchesPlantedFaults)
+{
+    // The audit is not vacuous: fault 1 (routing picks the newest
+    // spare instance) and fault 2 (demand prefix one host short) each
+    // perturb one indexed decision, and the same workload that passes
+    // clean must now report a mismatch.
+    const auto script = makeScript(7 ^ 0x5eed, 400);
+    for (const std::uint32_t fault : {1u, 2u}) {
+        SCOPED_TRACE(testing::Message() << "fault " << fault);
+        EXPECT_NE(runWorkload(script, eastConfig(7, fault)).mismatch, "");
     }
 }
 
@@ -203,51 +186,16 @@ TEST(IndexedOracle, DynamicPlacementProfileMatchesReferenceScan)
 {
     // us-central1 re-jitters the base order every launch, forcing a
     // placement-index rebuild per scale-out; the rebuilt tree must
-    // keep agreeing with the scan.
+    // keep agreeing with the brute-force pick.
     faas::PlatformConfig cfg;
     cfg.profile = faas::DataCenterProfile::usCentral1();
     cfg.seed = 42;
-
-    const auto script = makeScript(0xcafe, 250);
-    std::vector<Op> launches_heavy = script;
-    for (std::size_t i = 0; i < launches_heavy.size(); i += 5)
-        launches_heavy[i].kind = Op::Connect;
-
-    WorkloadLog logs[2];
-    for (const bool reference : {false, true}) {
-        cfg.orchestrator.reference_scan = reference;
-        faas::Platform platform(cfg);
-        faas::Orchestrator &orch = platform.orchestrator();
-        faas::PlacementTrace trace;
-        orch.attachTrace(&trace);
-        const auto acct = platform.createAccount();
-        const auto svc = platform.deployService(acct, faas::ExecEnv::Gen1);
-        WorkloadLog &log = logs[reference ? 1 : 0];
-        for (const Op &op : launches_heavy) {
-            switch (op.kind) {
-            case Op::Connect:
-                platform.connect(svc, 10 + op.b % 80);
-                break;
-            case Op::Advance:
-                platform.advance(
-                    sim::Duration::fromSecondsF(0.5 + 0.5 * (op.b % 4)));
-                break;
-            case Op::DisconnectAll:
-                platform.disconnectAll(svc);
-                break;
-            default:
-                log.spend.push_back(platform.accountSpendUsd(acct));
-                break;
-            }
-        }
-        platform.advance(sim::Duration::minutes(30));
-        log.final_spend_a = platform.accountSpendUsd(acct);
-        log.instance_count = orch.instanceCount();
-        orch.attachTrace(nullptr);
-        log.trace = trace.events();
-    }
-    ASSERT_FALSE(logs[0].trace.empty());
-    expectIdentical(logs[0], logs[1]);
+    auto script = makeScript(0xcafe, 250);
+    for (std::size_t i = 0; i < script.size(); i += 5)
+        script[i].kind = Op::Connect;
+    const AuditedRun run = runWorkload(script, cfg);
+    EXPECT_EQ(run.mismatch, "");
+    EXPECT_GT(run.cold_base, 0u);
 }
 
 /**
@@ -255,58 +203,46 @@ TEST(IndexedOracle, DynamicPlacementProfileMatchesReferenceScan)
  * transition: request completion draining in_flight to zero,
  * disconnect, idle reap, and restart all route through the same
  * settle point. Polls straddling each transition must agree with the
- * reference full-table scan to the cent (bit-exact, in fact).
+ * full-table reference to the cent (bit-exact, in fact).
  */
 TEST(IndexedOracle, SpendSettlesOnEveryTransition)
 {
-    std::vector<double> spends[2];
-    std::size_t counts[2] = {0, 0};
-    for (const bool reference : {false, true}) {
-        faas::PlatformConfig cfg;
-        cfg.profile = faas::DataCenterProfile::usEast1();
-        cfg.seed = 1234;
-        cfg.orchestrator.reference_scan = reference;
-        faas::Platform platform(cfg);
-        faas::Orchestrator &orch = platform.orchestrator();
-        const auto acct = platform.createAccount();
-        const auto svc = platform.deployService(acct, faas::ExecEnv::Gen1);
-        auto &out = spends[reference ? 1 : 0];
-        const auto poll = [&] { out.push_back(platform.accountSpendUsd(acct)); };
+    faas::Platform platform(eastConfig(1234));
+    faas::Orchestrator &orch = platform.orchestrator();
+    faas::PlacementTrace trace;
+    orch.attachTrace(&trace);
+    testkit::ReferenceAudit audit(platform, trace);
+    const auto acct = platform.createAccount();
+    const auto svc = platform.deployService(acct, faas::ExecEnv::Gen1);
 
-        const auto ids = platform.connect(svc, 40);
-        poll();
+    const auto ids = audit.connect(svc, 40, "connect");
+    audit.spend(acct, "after connect");
 
-        // Mid-flight: requests still running when polled.
-        orch.setMaxConcurrency(svc, 2);
-        for (int r = 0; r < 10; ++r)
-            orch.routeRequest(svc, sim::Duration::fromSecondsF(1.0));
-        poll();
-        platform.advance(sim::Duration::fromSecondsF(0.5));
-        poll(); // in flight
-        platform.advance(sim::Duration::fromSecondsF(0.6));
-        poll(); // just completed; instances drained to idle
+    // Mid-flight: requests still running when polled.
+    orch.setMaxConcurrency(svc, 2);
+    for (int r = 0; r < 10; ++r)
+        audit.route(svc, sim::Duration::fromSecondsF(1.0), "route");
+    audit.spend(acct, "after routing");
+    platform.advance(sim::Duration::fromSecondsF(0.5));
+    audit.spend(acct, "in flight");
+    platform.advance(sim::Duration::fromSecondsF(0.6));
+    audit.spend(acct, "drained to idle");
 
-        // Restart of an idle instance (terminate + replace).
-        platform.restartInstance(ids.front());
-        poll();
+    // Restart of an idle instance (terminate + replace).
+    audit.restart(ids.front(), "restart");
+    audit.spend(acct, "after restart");
 
-        // Disconnect everything, then let the idle reap expire them.
-        platform.disconnectAll(svc);
-        poll();
-        platform.advance(sim::Duration::minutes(20));
-        poll(); // after reap: spend must be frozen
-        platform.advance(sim::Duration::minutes(20));
-        poll(); // and stay frozen
-        counts[reference ? 1 : 0] = orch.instanceCount();
-    }
-    ASSERT_EQ(spends[0].size(), spends[1].size());
-    for (std::size_t i = 0; i < spends[0].size(); ++i)
-        EXPECT_EQ(spends[0][i], spends[1][i]) << "poll " << i;
-    EXPECT_EQ(counts[0], counts[1]);
-    // The frozen-after-reap polls really are equal and non-zero.
-    const std::size_t n = spends[0].size();
-    EXPECT_GT(spends[0][n - 2], 0.0);
-    EXPECT_EQ(spends[0][n - 2], spends[0][n - 1]);
+    // Disconnect everything, then let the idle reap expire them.
+    platform.disconnectAll(svc);
+    audit.spend(acct, "after disconnect");
+    platform.advance(sim::Duration::minutes(20));
+    const double after_reap = audit.spend(acct, "after reap");
+    platform.advance(sim::Duration::minutes(20));
+    // Spend is frozen once everything is reaped, and not at zero.
+    EXPECT_EQ(audit.spend(acct, "frozen"), after_reap);
+    EXPECT_GT(after_reap, 0.0);
+    EXPECT_EQ(audit.mismatch(), "");
+    orch.attachTrace(nullptr);
 }
 
 } // namespace

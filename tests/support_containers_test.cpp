@@ -166,7 +166,7 @@ TEST(MinLoadTreeProperty, EmptyAndDegenerateCases)
     const auto none = [](std::size_t) { return false; };
     EXPECT_EQ(tree.minInPrefix(1, none), std::nullopt);
 
-    // Ties break toward the first position, matching the legacy scan.
+    // Ties break toward the first position, matching a linear scan.
     tree.assign({5, 5, 5});
     EXPECT_EQ(tree.minInPrefix(3, any), std::optional<std::size_t>{0});
     const auto skip0 = [](std::size_t i) { return i != 0; };

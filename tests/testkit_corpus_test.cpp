@@ -93,6 +93,7 @@ TEST(Corpus, ShrinkIsFixedPointOnMutationMinima)
         std::uint32_t fault;
     } minima[] = {
         {"mutation-routing-min.scenario", 1},
+        {"mutation-prefix-min.scenario", 2},
         {"mutation-window-min.scenario", 4},
         {"mutation-snapshot-min.scenario", 5},
         {"mutation-timetravel-min.scenario", 6},

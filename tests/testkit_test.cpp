@@ -216,8 +216,8 @@ TEST(Invariants, CatchInjectedRoutingFault)
 {
     // The mutation self-test (docs/testing.md): fault 1 makes indexed
     // routing pick the most recently activated spare instance instead
-    // of the least loaded one; the indexed-vs-reference oracle must
-    // notice on some early scenario.
+    // of the least loaded one; the reference oracle's brute-force
+    // route audit must notice on some early scenario.
     InvariantOptions opts;
     opts.check_threads = false; // both arms share the fault; cheap skip
     opts.check_obs = false;

@@ -24,11 +24,11 @@ different machine, so CI passes a deliberately loose value there; the
 robust gate is --assert-speedup, which compares two records of the
 SAME candidate file (same machine, same run):
 
-  --assert-speedup macro_campaign_legacy:macro_campaign:2.0
+  --assert-speedup heap_arrivals:wheel_arrivals:2.0
 
-asserts that the `macro_campaign_legacy` median is at least 2.0x the
-`macro_campaign` median, i.e. the indexed paths are >= 2x faster than
-the retained reference-scan paths.
+asserts that the `heap_arrivals` median is at least 2.0x the
+`wheel_arrivals` median, i.e. the timing-wheel kernel is >= 2x faster
+than the pure-heap kernel on the same open-loop arrival storm.
 
 CI also uses the google-benchmark mode to bound the cost of the
 compiled-in-but-disabled observability path against an

@@ -20,8 +20,10 @@
  * Scenario i is a pure function of (seed, i): a campaign is
  * reproducible from its seed regardless of thread count or budget.
  * `--inject-fault K` forces OrchestratorConfig::fault_injection = K
- * into every scenario — the mutation self-test of docs/testing.md: the
- * fuzzer must catch the planted bug and shrink it to a small replay.
+ * (0-6) into every scenario — the mutation self-test of
+ * docs/testing.md: the fuzzer must catch the planted bug and shrink it
+ * to a small replay. A malformed number or an out-of-range fault id
+ * exits 2 with one line on stderr.
  *
  * `--fork-at B` switches to time-travel mode: scenario i becomes the
  * *prefix*, primed once to window barrier B (runScenarioToBarrier),
@@ -33,11 +35,14 @@
  * `--replay` re-primes and re-forks it. Fault 6 lives on this path.
  */
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -83,9 +88,47 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/** Highest planted fault id (OrchestratorConfig::fault_injection). */
+constexpr std::uint64_t kMaxFault = 6;
+
+/** Reject a malformed flag value with one line and exit 2. */
+[[noreturn]] void
+badValue(const char *flag, const char *text, const std::string &want)
+{
+    std::fprintf(stderr, "fuzz_scenarios: %s needs %s, got '%s'\n", flag,
+                 want.c_str(), text);
+    std::exit(2);
+}
+
+/** A decimal integer in [0, @p max]: no sign, junk or overflow. */
+std::uint64_t
+parseUint(const char *flag, const char *text, std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+        v > max)
+        badValue(flag, text, "an integer in 0.." + std::to_string(max));
+    return v;
+}
+
+/** A finite, non-negative number of seconds. */
+double
+parseSeconds(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0)
+        badValue(flag, text, "a non-negative number of seconds");
+    return v;
+}
+
 Args
 parseArgs(int argc, char **argv)
 {
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+    constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
     Args args;
     const auto value = [&](int &i) -> const char * {
         if (i + 1 >= argc)
@@ -94,38 +137,35 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        const auto num = [&](std::uint64_t max) {
+            return parseUint(arg, value(i), max);
+        };
         if (std::strcmp(arg, "--seed") == 0)
-            args.seed = std::strtoull(value(i), nullptr, 10);
+            args.seed = num(kU64);
         else if (std::strcmp(arg, "--time-budget") == 0)
-            args.time_budget_s = std::strtod(value(i), nullptr);
+            args.time_budget_s = parseSeconds(arg, value(i));
         else if (std::strcmp(arg, "--max-scenarios") == 0)
-            args.max_scenarios = std::strtoull(value(i), nullptr, 10);
+            args.max_scenarios = num(kU64);
         else if (std::strcmp(arg, "--threads") == 0)
-            args.threads =
-                static_cast<unsigned>(std::strtoul(value(i), nullptr, 10));
+            args.threads = static_cast<unsigned>(num(kU32));
         else if (std::strcmp(arg, "--shards") == 0)
-            args.shards = static_cast<std::uint32_t>(
-                std::strtoul(value(i), nullptr, 10));
+            args.shards = static_cast<std::uint32_t>(num(kU32));
         else if (std::strcmp(arg, "--verify-every") == 0)
-            args.verify_every = std::strtoull(value(i), nullptr, 10);
+            args.verify_every = num(kU64);
         else if (std::strcmp(arg, "--snapshot-every") == 0)
-            args.snapshot_every = std::strtoull(value(i), nullptr, 10);
+            args.snapshot_every = num(kU64);
         else if (std::strcmp(arg, "--inject-fault") == 0)
-            args.inject_fault =
-                static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+            args.inject_fault = static_cast<std::uint32_t>(num(kMaxFault));
         else if (std::strcmp(arg, "--out") == 0)
             args.out_dir = value(i);
         else if (std::strcmp(arg, "--replay") == 0)
             args.replay_path = value(i);
         else if (std::strcmp(arg, "--fork-at") == 0)
-            args.fork_at = static_cast<std::uint32_t>(
-                std::strtoul(value(i), nullptr, 10));
+            args.fork_at = static_cast<std::uint32_t>(num(kU32 - 1));
         else if (std::strcmp(arg, "--forks") == 0)
-            args.forks = static_cast<std::uint32_t>(
-                std::strtoul(value(i), nullptr, 10));
+            args.forks = static_cast<std::uint32_t>(num(kU32));
         else if (std::strcmp(arg, "--fork-budget") == 0)
-            args.fork_budget = static_cast<std::uint32_t>(
-                std::strtoul(value(i), nullptr, 10));
+            args.fork_budget = static_cast<std::uint32_t>(num(kU32));
         else
             usage(argv[0]);
     }
