@@ -55,12 +55,16 @@
  * and CI gates their amortized wall clocks: with priming the dominant
  * cost, N forked storms must be >= 3x faster than N straight runs
  * (tools/compare_benchmarks.py --assert-speedup).
+ *
+ * Every --sharded flag is validated up front: an unknown flag, a
+ * missing value or an out-of-range number exits 2 with one line on
+ * stderr, before anything reaches stdout or a bench record.
  */
 
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -493,191 +497,101 @@ straightMain(const ShardedArgs &a, int argc, char **argv)
     return 0;
 }
 
-/**
- * `--open-loop`: the arrival-storm kernel duel (docs/load-engine.md).
- *
- * Sixteen independent open-loop Poisson streams (2500 rps each) have
- * their instants materialized a window at a time — the barrier-clamped
- * generation pattern, pumped stream-at-a-time exactly as the loadgen
- * program pumps its lanes — so the kernel holds a full window of
- * pending arrivals (~2.4M at the default rate) and, crucially, sees
- * each lane's burst land in the MIDDLE of the pending set: only the
- * first lane's pushes arrive in globally sorted order. Each arrival
- * fires a completion ~50-250 ms out plus a 30 s timeout guard the
- * completion cancels — the reap pattern the kernel documents as its
- * dominant workload. A cancelled guard costs the heap kernel a full
- * depth-of-millions sift-down when its stale entry surfaces; the wheel
- * kernel drops it at bucket-dump time without touching the heap. The
- * identical storm runs on the wheel-backed kernel and on the pure-heap kernel
- * (`use_wheel = false`); both must agree on every count (the wheel
- * never reorders pops), stdout prints one digest, and the two
- * `--bench-json` records (`wheel_arrivals` / `heap_arrivals`) feed
- * CI's same-machine >= 2x speedup gate.
- */
-int
-openLoopMain(int argc, char **argv)
+/** Reject a --sharded argument with one stderr line and exit 2. */
+[[noreturn]] void
+badArg(const std::string &what)
 {
-    using namespace eaao;
-    std::uint64_t requests = 4'000'000;
-    for (int i = 1; i < argc - 1; ++i) {
-        if (std::strcmp(argv[i], "--requests") == 0)
-            requests = std::strtoull(argv[i + 1], nullptr, 10);
+    std::fprintf(stderr, "macro_campaign: %s\n", what.c_str());
+    std::exit(2);
+}
+
+/** A decimal integer in [@p min, @p max]: no sign, junk or overflow. */
+std::uint64_t
+parseCount(std::string_view flag, const char *text, std::uint64_t min,
+           std::uint64_t max)
+{
+    const std::optional<std::uint64_t> v =
+        eaao::support::parseUint(text, min, max);
+    if (!v) {
+        badArg(std::string(flag) + " needs an integer in " +
+               std::to_string(min) + ".." + std::to_string(max) +
+               ", got '" + text + "'");
     }
-    constexpr std::size_t kStreams = 16;
-    const double rate_rps = 40000.0;
-    const sim::Duration window = sim::Duration::seconds(120);
+    return *v;
+}
 
-    faas::ArrivalSpec spec;
-    spec.kind = faas::ArrivalKind::Poisson;
-    spec.rate_rps = rate_rps / static_cast<double>(kStreams);
-    spec.span = sim::Duration::fromSecondsF(
-        static_cast<double>(requests) / rate_rps);
-    spec.mean_service_time = sim::Duration::millis(100);
-    std::vector<std::vector<sim::SimTime>> lanes(kStreams);
-    std::size_t arrivals = 0;
-    for (std::size_t s = 0; s < kStreams; ++s) {
-        faas::ArrivalCursor cursor(spec, sim::Rng(4242).fork(s),
-                                   sim::SimTime());
-        cursor.generateUntil(sim::SimTime() + spec.span, lanes[s]);
-        arrivals += lanes[s].size();
+/**
+ * Parse the --sharded family's flags (`--flag value` or
+ * `--flag=value`). An unknown flag, a missing value or an out-of-range
+ * number exits 2 before anything runs or is recorded. The upper bounds
+ * keep the fleet tables, the op script and the storm horizon (int64
+ * ns) finite.
+ */
+ShardedArgs
+parseShardedArgs(int argc, char **argv)
+{
+    constexpr std::uint64_t kMaxGroups = 4096; // --threads and --shards
+    constexpr std::uint64_t kMaxHosts = 1'000'000;
+    constexpr std::uint64_t kMaxRequests = 1'000'000'000'000;
+    constexpr std::uint64_t kMaxRounds = 10'000;
+    constexpr std::uint64_t kMaxStorms = 10'000;
+    ShardedArgs a;
+    a.threads = eaao::support::defaultThreads();
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--sharded")
+            continue;
+        const std::size_t eq = arg.find('=');
+        const std::string_view flag = arg.substr(0, eq);
+        const auto value = [&]() -> const char * {
+            if (eq != std::string_view::npos)
+                return argv[i] + eq + 1;
+            if (i + 1 >= argc)
+                badArg(std::string(flag) + " requires a value");
+            return argv[++i];
+        };
+        const auto num = [&](std::uint64_t min, std::uint64_t max) {
+            return parseCount(flag, value(), min, max);
+        };
+        const auto path = [&]() {
+            const char *p = value();
+            if (*p == '\0')
+                badArg(std::string(flag) + " requires a path");
+            return p;
+        };
+        if (flag == "--threads")
+            a.threads = static_cast<unsigned>(num(1, kMaxGroups));
+        else if (flag == "--bench-json")
+            path(); // read by support::maybeWriteBenchJson
+        else if (flag == "--shards")
+            a.shards = static_cast<std::uint32_t>(num(1, kMaxGroups));
+        else if (flag == "--hosts")
+            a.hosts = static_cast<std::uint32_t>(num(1, kMaxHosts));
+        else if (flag == "--requests")
+            a.requests = num(0, kMaxRequests);
+        else if (flag == "--prime-rounds")
+            a.prime_rounds = static_cast<std::uint32_t>(num(1, kMaxRounds));
+        else if (flag == "--prime-traffic")
+            a.prime_traffic = num(0, kMaxRequests);
+        else if (flag == "--forked-storms")
+            a.forked_storms = num(1, kMaxStorms);
+        else if (flag == "--straight-storms")
+            a.straight_storms = num(1, kMaxStorms);
+        else if (flag == "--checkpoint")
+            a.checkpoint = path();
+        else if (flag == "--from-checkpoint")
+            a.from_checkpoint = path();
+        else
+            badArg("unknown argument '" + std::string(arg) + "'");
     }
-
-    struct Digest
-    {
-        std::uint64_t fired = 0;
-        std::uint64_t timeouts = 0;
-        std::uint64_t processed = 0;
-        std::uint64_t cancelled = 0;
-        std::int64_t end_ns = 0;
-    };
-    const auto runArm = [&](bool use_wheel) {
-        Digest d;
-        sim::EventQueue eq(sim::SimTime(), use_wheel);
-        eq.reserve(arrivals + arrivals / 2);
-        std::array<std::size_t, kStreams> next{};
-        sim::SimTime stop;
-        bool more = true;
-        while (more) {
-            more = false;
-            stop = stop + window;
-            for (std::size_t s = 0; s < kStreams; ++s) {
-                const auto &lane = lanes[s];
-                std::size_t &n = next[s];
-                for (; n < lane.size() && lane[n] < stop; ++n) {
-                    const auto complete = sim::Duration::millis(
-                        50 + static_cast<int>(
-                                 sim::mix64((s << 32 | n) ^ 0x51ab) %
-                                 200));
-                    eq.scheduleAt(
-                        lane[n], [&eq, &d, complete] {
-                            const sim::EventId guard = eq.scheduleAfter(
-                                sim::Duration::seconds(30),
-                                [&d] { ++d.timeouts; });
-                            eq.scheduleAfter(complete,
-                                             [&eq, &d, guard] {
-                                                 eq.cancel(guard);
-                                                 ++d.fired;
-                                             });
-                        });
-                }
-                more = more || n < lane.size();
-            }
-            eq.runUntil(stop);
-        }
-        eq.run();
-        d.processed = eq.processed();
-        d.cancelled = eq.cancelled();
-        d.end_ns = eq.now().ns();
-        return d;
-    };
-
-    // Two interleaved repetitions per arm, heap first: the gate
-    // (tools/compare_benchmarks.py --assert-speedup) takes the median
-    // per bench name, so a noisy neighbor or cold-start hiccup in any
-    // single storm cannot flip the verdict.
-    constexpr int kReps = 2;
-    Digest wheel;
-    Digest heap;
-    for (int rep = 0; rep < kReps; ++rep) {
-        support::BenchTimer heap_timer("heap_arrivals", 1, /*seed=*/4242);
-        heap = runArm(/*use_wheel=*/false);
-        support::maybeWriteBenchJson(argc, argv, heap_timer.stop());
-
-        support::BenchTimer wheel_timer("wheel_arrivals", 1,
-                                        /*seed=*/4242);
-        wheel = runArm(/*use_wheel=*/true);
-        support::maybeWriteBenchJson(argc, argv, wheel_timer.stop());
-
-        if (wheel.fired != heap.fired ||
-            wheel.timeouts != heap.timeouts ||
-            wheel.processed != heap.processed ||
-            wheel.cancelled != heap.cancelled ||
-            wheel.end_ns != heap.end_ns)
-            break;
-    }
-
-    if (wheel.fired != heap.fired || wheel.timeouts != heap.timeouts ||
-        wheel.processed != heap.processed ||
-        wheel.cancelled != heap.cancelled ||
-        wheel.end_ns != heap.end_ns) {
-        std::fprintf(stderr,
-                     "fatal: wheel and heap kernels diverged "
-                     "(fired %llu/%llu, processed %llu/%llu)\n",
-                     static_cast<unsigned long long>(wheel.fired),
-                     static_cast<unsigned long long>(heap.fired),
-                     static_cast<unsigned long long>(wheel.processed),
-                     static_cast<unsigned long long>(heap.processed));
-        return 1;
-    }
-    std::printf("=== macro_campaign: open-loop arrival storm "
-                "(wheel vs heap kernel) ===\n\n");
-    std::printf("arrivals %zu (%zu poisson streams, %.0f rps total, "
-                "%.0f s span); completions %llu;\ntimeout guards "
-                "cancelled %llu, expired %llu; events processed %llu; "
-                "final\nvirtual time %.3f s; kernels agree\n",
-                arrivals, kStreams, rate_rps,
-                static_cast<double>(spec.span.ns()) / 1e9,
-                static_cast<unsigned long long>(wheel.fired),
-                static_cast<unsigned long long>(wheel.cancelled),
-                static_cast<unsigned long long>(wheel.timeouts),
-                static_cast<unsigned long long>(wheel.processed),
-                static_cast<double>(wheel.end_ns) / 1e9);
-    return 0;
+    return a;
 }
 
 int
 shardedMain(int argc, char **argv)
 {
     using namespace eaao;
-    ShardedArgs a;
-    a.threads = support::threadsFromArgs(argc, argv);
-    for (int i = 1; i < argc - 1; ++i) {
-        if (std::strcmp(argv[i], "--shards") == 0)
-            a.shards = static_cast<std::uint32_t>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-        else if (std::strcmp(argv[i], "--hosts") == 0)
-            a.hosts = static_cast<std::uint32_t>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-        else if (std::strcmp(argv[i], "--requests") == 0)
-            a.requests = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (std::strcmp(argv[i], "--prime-rounds") == 0)
-            a.prime_rounds = static_cast<std::uint32_t>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-        else if (std::strcmp(argv[i], "--prime-traffic") == 0)
-            a.prime_traffic = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (std::strcmp(argv[i], "--forked-storms") == 0)
-            a.forked_storms = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (std::strcmp(argv[i], "--straight-storms") == 0)
-            a.straight_storms = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (std::strcmp(argv[i], "--checkpoint") == 0)
-            a.checkpoint = argv[i + 1];
-        else if (std::strcmp(argv[i], "--from-checkpoint") == 0)
-            a.from_checkpoint = argv[i + 1];
-    }
-    if (a.shards == 0)
-        a.shards = 1;
-    if (a.prime_rounds == 0)
-        a.prime_rounds = 1;
+    const ShardedArgs a = parseShardedArgs(argc, argv);
 
     if (a.from_checkpoint != nullptr)
         return fromCheckpointMain(a, argc, argv);
@@ -713,8 +627,6 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--sharded") == 0)
             return shardedMain(argc, argv);
-        if (std::strcmp(argv[i], "--open-loop") == 0)
-            return openLoopMain(argc, argv);
     }
     // The default mode takes only --threads and --bench-json, so a
     // stale flag cannot silently run (and record) this workload.

@@ -2,7 +2,7 @@
  * @file
  * Micro-benchmarks (google-benchmark) for the library's primitives:
  * the event kernel (schedule/step, schedule+cancel churn, an
- * orchestrator-shaped mix, wheel vs pure-heap arrival storms),
+ * orchestrator-shaped mix, an arrival storm),
  * fingerprint readings, quantization, covert-channel group tests,
  * scalable-vs-pairwise verification scaling, orchestrator placement
  * and routing throughput, and snapshot capture/restore.
@@ -140,25 +140,18 @@ BM_EventQueueMixedOrchestrator(benchmark::State &state)
 BENCHMARK(BM_EventQueueMixedOrchestrator);
 
 /**
- * Open-loop arrival storm (docs/load-engine.md): a deep backlog of
- * pre-materialized arrivals — the window-clamped generation pattern
- * leaves a full window of pending instants — each spawning a
- * completion ~100 ms out as it fires. A deep backlog is where the
- * heap pays O(log n) on every push and pop while the hierarchical
- * timing wheel buckets in O(1); the use_wheel = false arm is the
- * pure-heap reference.
+ * Arrival storm: a deep backlog of pre-materialized arrivals scattered
+ * over 600 s, each spawning a completion 50-250 ms out as it
+ * fires — the heap's O(log n) push/pop at depth ~1M.
  */
 void
-arrivalStormWorkload(benchmark::State &state, bool use_wheel)
+BM_HeapSchedulePop(benchmark::State &state)
 {
     constexpr int kStormEvents = 1 << 20;
     std::uint64_t fired = 0;
     for (auto _ : state) {
-        sim::EventQueue eq(sim::SimTime(), use_wheel);
+        sim::EventQueue eq;
         for (int i = 0; i < kStormEvents; ++i) {
-            // Arrival instants scattered over a 60 s window; each
-            // completion lands 50-250 ms past its arrival, in the
-            // wheel's near levels.
             const auto at = sim::SimTime::fromNanos(static_cast<
                 std::int64_t>(sim::mix64(i) % 600'000'000'000ULL));
             const auto complete = sim::Duration::millis(
@@ -171,19 +164,6 @@ arrivalStormWorkload(benchmark::State &state, bool use_wheel)
     }
     benchmark::DoNotOptimize(fired);
     state.SetItemsProcessed(state.iterations() * kStormEvents);
-}
-
-void
-BM_WheelSchedulePop(benchmark::State &state)
-{
-    arrivalStormWorkload(state, /*use_wheel=*/true);
-}
-BENCHMARK(BM_WheelSchedulePop);
-
-void
-BM_HeapSchedulePop(benchmark::State &state)
-{
-    arrivalStormWorkload(state, /*use_wheel=*/false);
 }
 BENCHMARK(BM_HeapSchedulePop);
 

@@ -214,7 +214,7 @@ Orchestrator::disconnectAll(ServiceId service)
             still_busy.push_back(id);
             continue;
         }
-        routing_.remove(svc.id, inst.in_flight, inst.route_seq);
+        routing_.remove(id);
         settleActiveTime(inst);
         inst.state = InstanceState::Idle;
         inst.state_since = eq_.now();
@@ -294,10 +294,8 @@ InstanceId
 Orchestrator::occupy(ServiceRecord &svc, InstanceRecord &target,
                      sim::Duration service_time)
 {
-    const std::uint32_t old_in_flight = target.in_flight;
     ++target.in_flight;
-    routing_.reindex(svc.id, target.id, target.route_seq, old_in_flight,
-                     target.in_flight);
+    routing_.reindex(target.id, target.in_flight);
     ++svc.requests_served;
     EAAO_OBS_COUNT(c_requests_, 1);
     const InstanceId id = target.id;
@@ -475,13 +473,10 @@ Orchestrator::completeRequest(InstanceId id)
     if (inst.state == InstanceState::Terminated)
         return; // instance died with the request in flight
     EAAO_ASSERT(inst.in_flight > 0, "completion without request");
-    const std::uint32_t old_in_flight = inst.in_flight;
     --inst.in_flight;
     if (inst.in_flight > 0 || inst.state != InstanceState::Active) {
-        if (inst.state == InstanceState::Active) {
-            routing_.reindex(inst.service, id, inst.route_seq,
-                             old_in_flight, inst.in_flight);
-        }
+        if (inst.state == InstanceState::Active)
+            routing_.reindex(id, inst.in_flight);
         if (!admission_[inst.service].q.empty())
             maybeDispatchQueued(services_[inst.service]);
         return;
@@ -492,7 +487,7 @@ Orchestrator::completeRequest(InstanceId id)
     const auto it = std::find(act.begin(), act.end(), id);
     EAAO_ASSERT(it != act.end(), "active instance missing from list");
     act.erase(it);
-    routing_.remove(inst.service, old_in_flight, inst.route_seq);
+    routing_.remove(id);
     settleActiveTime(inst);
     inst.state = InstanceState::Idle;
     inst.state_since = eq_.now();
@@ -545,7 +540,7 @@ Orchestrator::restartInstance(InstanceId id)
         InstanceRecord &inst = instances_[fresh];
         auto &act = svc.active;
         act.erase(std::find(act.begin(), act.end(), fresh));
-        routing_.remove(svc.id, inst.in_flight, inst.route_seq);
+        routing_.remove(fresh);
         settleActiveTime(inst);
         inst.state = InstanceState::Idle;
         inst.state_since = eq_.now();
@@ -858,7 +853,7 @@ Orchestrator::terminate(InstanceRecord &inst)
         const auto it = std::find(act.begin(), act.end(), inst.id);
         if (it != act.end()) {
             act.erase(it);
-            routing_.remove(svc.id, inst.in_flight, inst.route_seq);
+            routing_.remove(inst.id);
         }
     }
     // Callers handling Idle instances remove them from svc.idle.

@@ -5,19 +5,12 @@
 
 #include "sim/event_queue.hpp"
 
-#include <limits>
 #include <utility>
 
 #include "support/bench_timer.hpp"
 #include "support/logging.hpp"
 
 namespace eaao::sim {
-
-EventQueue::EventQueue(SimTime start, bool use_wheel)
-    : now_(start), use_wheel_(use_wheel)
-{
-    wheel_.reset(TimingWheel::tickOf(start));
-}
 
 EventQueue::~EventQueue()
 {
@@ -94,40 +87,10 @@ void
 EventQueue::flushStaging()
 {
     for (const HeapEntry &e : staging_) {
-        if (!entryLive(e))
-            continue;
-        // Near-future entries park in the wheel; due or far-future
-        // ones go straight to the heap (insert() refuses both).
-        if (use_wheel_
-            && wheel_.insert(WheelEntry{e.when, e.seq, e.slot, e.gen}))
-            continue;
-        heapPush(e);
+        if (entryLive(e))
+            heapPush(e);
     }
     staging_.clear();
-}
-
-void
-EventQueue::syncWheel(std::int64_t bound_tick)
-{
-    const auto sink = [this](const WheelEntry &e) {
-        const HeapEntry entry{e.when, e.seq, e.slot, e.gen};
-        if (entryLive(entry))
-            heapPush(entry);
-    };
-    while (!wheel_.empty()) {
-        if (!heap_.empty()) {
-            // One pass suffices: after dumping every bucket at or
-            // before the front's tick, all parked entries are in
-            // strictly later ticks than any heap entry.
-            std::int64_t limit = TimingWheel::tickOf(heap_.front().when);
-            if (limit > bound_tick)
-                limit = bound_tick;
-            wheel_.advanceTo(limit, sink);
-            return;
-        }
-        if (!wheel_.advanceOne(bound_tick, sink))
-            return; // nothing due at or before the bound
-    }
 }
 
 void
@@ -227,13 +190,6 @@ EventQueue::exportImage(EventQueueImage &out) const
     for (const HeapEntry &e : staging_)
         out.staging.push_back(entry(e));
     out.free_list = free_;
-    out.wheel_frontier = wheel_.frontier();
-    out.wheel.reserve(wheel_.size());
-    wheel_.forEach([&out](const WheelEntry &e, std::uint8_t level,
-                          std::uint8_t wslot) {
-        out.wheel.push_back(EventQueueImage::WheelEntryImage{
-            e.when.ns(), e.seq, e.slot, e.gen, level, wslot});
-    });
     return true;
 }
 
@@ -265,7 +221,7 @@ EventQueue::pending() const
     // live_ counts exactly the live slots: cancel() and fire() retire
     // a slot the moment it dies, so dead slots are never counted no
     // matter how many stale heap entries still await compaction.
-    EAAO_ASSERT(live_ <= heap_.size() + staging_.size() + wheel_.size(),
+    EAAO_ASSERT(live_ <= heap_.size() + staging_.size(),
                 "more live events than queued entries");
     return live_;
 }
@@ -295,17 +251,11 @@ EventQueue::fire(const HeapEntry &top)
 void
 EventQueue::run()
 {
-    // A tick index no event time can reach (SimTime is ns in int64),
-    // used as the drain bound when running to quiescence.
-    constexpr std::int64_t kNoBound =
-        std::numeric_limits<std::int64_t>::max() >> TimingWheel::kTickBits;
     // Staging is re-checked every iteration: a fired callback may have
     // scheduled events that sort before the current heap top.
     while (true) {
         if (!staging_.empty())
             flushStaging();
-        if (!wheel_.empty())
-            syncWheel(kNoBound);
         if (heap_.empty())
             break;
         const HeapEntry top = heapPop();
@@ -319,12 +269,9 @@ void
 EventQueue::runUntil(SimTime horizon)
 {
     EAAO_ASSERT(horizon >= now_, "horizon in the past");
-    const std::int64_t bound = TimingWheel::tickOf(horizon);
     while (true) {
         if (!staging_.empty())
             flushStaging();
-        if (!wheel_.empty())
-            syncWheel(bound);
         if (heap_.empty() || heap_.front().when > horizon)
             break;
         const HeapEntry top = heapPop();

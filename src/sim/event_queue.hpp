@@ -22,15 +22,6 @@
  * small-buffer-optimized (see inplace_callback.hpp) so the common
  * simulator lambdas never touch the allocator. See
  * docs/event-kernel.md.
- *
- * Near-future entries take a hierarchical timing-wheel fast path
- * (timing_wheel.hpp, docs/load-engine.md): the flush routes them into
- * ~1 ms tick buckets instead of the heap, and buckets are dumped back
- * into the heap only when their tick is reached — so under open-loop
- * arrival storms the heap stays one tick deep and schedule/pop is
- * O(1) amortized. The heap still totally orders everything it holds
- * by (when, seq), so the pop sequence is byte-identical to the
- * pure-heap kernel (constructible with use_wheel = false).
  */
 
 #ifndef EAAO_SIM_EVENT_QUEUE_HPP
@@ -41,7 +32,6 @@
 
 #include "sim/inplace_callback.hpp"
 #include "sim/time.hpp"
-#include "sim/timing_wheel.hpp"
 
 namespace eaao::sim {
 
@@ -92,17 +82,6 @@ struct EventQueueImage
         std::uint32_t gen = 0;
     };
 
-    /** A wheel-parked entry with its explicit bucket placement. */
-    struct WheelEntryImage
-    {
-        std::int64_t when_ns = 0;
-        std::uint64_t seq = 0;
-        std::uint32_t slot = 0;
-        std::uint32_t gen = 0;
-        std::uint8_t level = 0;
-        std::uint8_t wslot = 0;
-    };
-
     std::int64_t now_ns = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t processed = 0;
@@ -112,8 +91,6 @@ struct EventQueueImage
     std::vector<EntryImage> heap;
     std::vector<EntryImage> staging;
     std::vector<std::uint32_t> free_list;
-    std::int64_t wheel_frontier = 0;
-    std::vector<WheelEntryImage> wheel;
 };
 
 /**
@@ -124,12 +101,8 @@ class EventQueue
   public:
     using Callback = InplaceCallback;
 
-    /**
-     * Create a queue whose clock starts at @p start. Pass
-     * use_wheel = false for the pure-heap kernel — the reference the
-     * timing-wheel property tests compare against.
-     */
-    explicit EventQueue(SimTime start = SimTime(), bool use_wheel = true);
+    /** Create a queue whose clock starts at @p start. */
+    explicit EventQueue(SimTime start = SimTime()) : now_(start) {}
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -262,20 +235,6 @@ class EventQueue
         for (const EventQueueImage::EntryImage &e : img.staging)
             staging_.push_back(entry(e));
         free_ = img.free_list;
-        wheel_.reset(img.wheel_frontier);
-        for (const EventQueueImage::WheelEntryImage &w : img.wheel) {
-            if (use_wheel_) {
-                wheel_.restoreEntry(
-                    WheelEntry{SimTime::fromNanos(w.when_ns), w.seq, w.slot,
-                               w.gen},
-                    w.level, w.wslot);
-            } else {
-                // Pure-heap target: a wheel-bearing image stays
-                // runnable, the parked entries just live in the heap.
-                heapPush(HeapEntry{SimTime::fromNanos(w.when_ns), w.seq,
-                                   w.slot, w.gen});
-            }
-        }
     }
 
   private:
@@ -361,15 +320,6 @@ class EventQueue
     /** Execute a live popped entry. */
     void fire(const HeapEntry &top);
 
-    /**
-     * Surface wheel entries so the heap front is the global minimum:
-     * every bucket due at or before min(@p bound_tick, the heap
-     * front's tick) is dumped into the heap (stale entries die on the
-     * way). With an empty heap the wheel advances action by action
-     * until a live entry lands or nothing is due within the bound.
-     */
-    void syncWheel(std::int64_t bound_tick);
-
     SimTime now_;
     std::uint64_t next_seq_ = 0;
     std::uint64_t processed_ = 0;
@@ -380,8 +330,6 @@ class EventQueue
     std::vector<HeapEntry> heap_;      //!< 4-ary min-heap
     std::vector<HeapEntry> staging_;   //!< scheduled, not yet in heap_
     std::vector<std::uint32_t> free_;  //!< recycled slot indices
-    TimingWheel wheel_;                //!< near-future parking lot
-    bool use_wheel_ = true;
 };
 
 } // namespace eaao::sim

@@ -45,9 +45,11 @@ inline constexpr char kMagic[8] = {'E', 'A', 'A', 'O', 'S', 'N', 'A', 'P'};
  * and the lanes' open-loop arrival cursors to the per-lane sections.
  * Version 3 streams open-loop arrivals (faas::OpenLoopStream), so each
  * per-lane stream record lost its `gen_until` generation mark and its
- * `end` (always origin + the op's span).
+ * `end` (always origin + the op's span). Version 4 deletes the timing
+ * wheel: the event-queue image lost `wheel_frontier` and the wheel
+ * entry table (every pending entry is in the heap or staging buffer).
  */
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /** Section identifiers (id 0x100 + lane for per-lane sections). */
 inline constexpr std::uint32_t kSectionMeta = 1;

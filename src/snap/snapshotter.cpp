@@ -350,16 +350,6 @@ putEventQueueImage(SectionWriter &out, const sim::EventQueueImage &img)
     putEntries(img.heap);
     putEntries(img.staging);
     putU32Vec(out, img.free_list);
-    out.putI64(img.wheel_frontier);
-    out.putU64(img.wheel.size());
-    for (const auto &w : img.wheel) {
-        out.putI64(w.when_ns);
-        out.putU64(w.seq);
-        out.putU32(w.slot);
-        out.putU32(w.gen);
-        out.putU8(w.level);
-        out.putU8(w.wslot);
-    }
 }
 
 bool
@@ -393,22 +383,8 @@ getEventQueueImage(SectionReader &in, sim::EventQueueImage &img)
             }
             return true;
         };
-    if (!getEntries(img.heap) || !getEntries(img.staging) ||
-        !getU32Vec(in, img.free_list))
-        return false;
-    std::uint64_t wheel_n = 0;
-    if (!in.getI64(img.wheel_frontier) || !in.getU64(wheel_n))
-        return false;
-    img.wheel.clear();
-    for (std::uint64_t i = 0; i < wheel_n; ++i) {
-        sim::EventQueueImage::WheelEntryImage w;
-        if (!in.getI64(w.when_ns) || !in.getU64(w.seq) ||
-            !in.getU32(w.slot) || !in.getU32(w.gen) || !in.getU8(w.level) ||
-            !in.getU8(w.wslot))
-            return false;
-        img.wheel.push_back(w);
-    }
-    return true;
+    return getEntries(img.heap) && getEntries(img.staging) &&
+           getU32Vec(in, img.free_list);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include "support/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -13,6 +14,18 @@
 #include "support/logging.hpp"
 
 namespace eaao::support {
+
+std::optional<std::uint64_t>
+parseUint(const char *text, std::uint64_t min, std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+        v < min || v > max)
+        return std::nullopt;
+    return v;
+}
 
 std::uint32_t
 shardsFromArgs(int argc, char **argv, std::uint32_t fallback)

@@ -29,6 +29,14 @@
 namespace eaao::support {
 
 /**
+ * Parse @p text as a decimal integer in [@p min, @p max]: digits only
+ * (no sign, whitespace or trailing junk) and no overflow. nullopt when
+ * it is not one, for the caller to reject with its own message.
+ */
+std::optional<std::uint64_t> parseUint(const char *text, std::uint64_t min,
+                                       std::uint64_t max);
+
+/**
  * Default worker-thread count: EAAO_THREADS if set and positive,
  * otherwise std::thread::hardware_concurrency() (min 1).
  */

@@ -14,6 +14,7 @@
 #include "stats/regression.hpp"
 #include "stats/summary.hpp"
 #include "support/logging.hpp"
+#include "support/options.hpp"
 
 namespace eaao {
 namespace {
@@ -121,6 +122,21 @@ TEST(ErrorHandling, QuantizeRejectsBadPrecision)
                  "rounding precision");
     EXPECT_DEATH((void)core::quantizeGen1(r, -1.0),
                  "rounding precision");
+}
+
+TEST(ErrorHandling, ParseUintRejectsSignsJunkAndOverflow)
+{
+    using support::parseUint;
+    EXPECT_EQ(parseUint("0", 0, 10), std::optional<std::uint64_t>{0});
+    EXPECT_EQ(parseUint("10", 0, 10), std::optional<std::uint64_t>{10});
+    EXPECT_EQ(parseUint("18446744073709551615", 0, ~0ULL),
+              std::optional<std::uint64_t>{~0ULL});
+    // strtoull would wrap "-5" to 2^64-5 and accept "+5" and " 5".
+    for (const char *bad : {"-5", "+5", " 5", "5x", "", "abc", "0x10",
+                            "18446744073709551616"})
+        EXPECT_EQ(parseUint(bad, 0, ~0ULL), std::nullopt) << bad;
+    EXPECT_EQ(parseUint("0", 1, 10), std::nullopt);
+    EXPECT_EQ(parseUint("11", 1, 10), std::nullopt);
 }
 
 TEST(Logging, LevelsGateEmission)

@@ -384,8 +384,8 @@ class ArmDriver
 
     static constexpr std::uint64_t kBackground = 1ULL << 40;
 
-    ArmDriver(bool use_wheel, ArmMode mode, std::vector<StreamPlan> plans)
-        : q_(SimTime(), use_wheel), mode_(mode), plans_(std::move(plans)),
+    ArmDriver(ArmMode mode, std::vector<StreamPlan> plans)
+        : mode_(mode), plans_(std::move(plans)),
           next_(plans_.size()), seq_(plans_.size())
     {
     }
@@ -513,11 +513,8 @@ TEST(EventQueue, ReservedSeqRearmPopsLikeTheBatchReference)
     }
     const Duration window = Duration::millis(400);
     const ArmDriver::Trace ref =
-        ArmDriver(true, ArmMode::Batch, plans).run(5, window);
-    EXPECT_EQ(ArmDriver(false, ArmMode::Batch, plans).run(5, window), ref);
-    EXPECT_EQ(ArmDriver(true, ArmMode::Reserved, plans).run(5, window), ref);
-    EXPECT_EQ(ArmDriver(false, ArmMode::Reserved, plans).run(5, window),
-              ref);
+        ArmDriver(ArmMode::Batch, plans).run(5, window);
+    EXPECT_EQ(ArmDriver(ArmMode::Reserved, plans).run(5, window), ref);
 
     // The test has teeth: chain events share instants with background
     // events, and fresh seqs on re-arm reorder those ties.
@@ -528,7 +525,7 @@ TEST(EventQueue, ReservedSeqRearmPopsLikeTheBatchReference)
                           (ref[i - 1].first >= ArmDriver::kBackground);
     }
     EXPECT_GT(mixed_ties, 100u);
-    EXPECT_NE(ArmDriver(true, ArmMode::FreshSeq, plans).run(5, window), ref);
+    EXPECT_NE(ArmDriver(ArmMode::FreshSeq, plans).run(5, window), ref);
 }
 
 } // namespace

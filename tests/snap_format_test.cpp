@@ -196,11 +196,17 @@ TEST(SnapFormat, RejectsNewerFormatVersion)
     EXPECT_FALSE(r.parse(image, error));
     EXPECT_NE(error.find("version 0"), std::string::npos) << error;
 
-    // An older layout would misparse, so it is refused up front.
-    image[8] = static_cast<std::uint8_t>(kFormatVersion - 1);
-    EXPECT_FALSE(r.parse(image, error));
-    EXPECT_NE(error.find("older than this binary reads"), std::string::npos)
-        << error;
+    // Every older layout would misparse, so each is refused up front;
+    // v3 (lane queues still carrying timing-wheel state) is the newest.
+    EXPECT_EQ(kFormatVersion, 4u);
+    for (std::uint32_t v = 1; v < kFormatVersion; ++v) {
+        image[8] = static_cast<std::uint8_t>(v);
+        EXPECT_FALSE(r.parse(image, error));
+        EXPECT_NE(error.find("format v" + std::to_string(v) +
+                             " is older than this binary reads (v4)"),
+                  std::string::npos)
+            << error;
+    }
 }
 
 TEST(SnapFormat, ChecksumCatchesEveryPayloadBitFlip)

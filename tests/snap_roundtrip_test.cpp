@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -107,6 +108,35 @@ driveOps(QueueHarness &h, sim::Rng &rng, std::size_t n,
     }
 }
 
+/** Field-by-field equality of two queue images. */
+void
+expectSameImage(const sim::EventQueueImage &a, const sim::EventQueueImage &b)
+{
+    EXPECT_EQ(a.now_ns, b.now_ns);
+    EXPECT_EQ(a.next_seq, b.next_seq);
+    EXPECT_EQ(a.processed, b.processed);
+    EXPECT_EQ(a.scheduled, b.scheduled);
+    EXPECT_EQ(a.cancelled, b.cancelled);
+    ASSERT_EQ(a.slots.size(), b.slots.size());
+    for (std::size_t i = 0; i < a.slots.size(); ++i) {
+        const auto &x = a.slots[i], &y = b.slots[i];
+        EXPECT_TRUE(x.gen == y.gen && x.live == y.live && x.kind == y.kind &&
+                    x.arg == y.arg)
+            << "slot " << i;
+    }
+    const auto same = [](const std::vector<sim::EventQueueImage::EntryImage> &p,
+                         const std::vector<sim::EventQueueImage::EntryImage> &q) {
+        return std::equal(p.begin(), p.end(), q.begin(), q.end(),
+                          [](const auto &x, const auto &y) {
+                              return x.when_ns == y.when_ns && x.seq == y.seq &&
+                                     x.slot == y.slot && x.gen == y.gen;
+                          });
+    };
+    EXPECT_TRUE(same(a.heap, b.heap));
+    EXPECT_TRUE(same(a.staging, b.staging));
+    EXPECT_EQ(a.free_list, b.free_list);
+}
+
 TEST(SnapRoundTrip, EventQueueSurvives10kOpPropertyTest)
 {
     // Phase A: 10k random ops, then capture the queue mid-flight.
@@ -126,6 +156,10 @@ TEST(SnapRoundTrip, EventQueueSurvives10kOpPropertyTest)
     });
     ASSERT_EQ(restored.eq.now().ns(), ref.eq.now().ns());
     ASSERT_EQ(restored.eq.pending(), ref.eq.pending());
+    // The restored queue re-exports the captured image verbatim.
+    sim::EventQueueImage again;
+    ASSERT_TRUE(restored.eq.exportImage(again));
+    expectSameImage(img, again);
 
     // Phase B: 10k more identical ops on both queues — the restored
     // queue must schedule identical EventIds (verbatim slab/free-list

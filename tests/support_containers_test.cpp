@@ -1,8 +1,10 @@
 /**
  * @file
- * Property tests for the support containers backing the orchestrator's
- * hot paths: SmallFlatMap against std::map, and MinLoadTree against a
- * brute-force prefix scan, under long random operation sequences.
+ * Property tests for the containers backing the orchestrator's hot
+ * paths: SmallFlatMap against std::map, MinLoadTree against a
+ * brute-force prefix scan, and the routing index's per-service heaps
+ * against the reference route scan, under long random operation
+ * sequences.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +12,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "faas/routing_index.hpp"
 #include "sim/rng.hpp"
 #include "support/flat_map.hpp"
 #include "support/min_load_tree.hpp"
@@ -171,6 +175,132 @@ TEST(MinLoadTreeProperty, EmptyAndDegenerateCases)
     EXPECT_EQ(tree.minInPrefix(3, any), std::optional<std::size_t>{0});
     const auto skip0 = [](std::size_t i) { return i != 0; };
     EXPECT_EQ(tree.minInPrefix(3, skip0), std::optional<std::size_t>{1});
+}
+
+/** One active instance of the routing model, in activation order. */
+struct RoutedInstance
+{
+    faas::InstanceId id;
+    std::uint32_t in_flight;
+};
+
+/**
+ * testkit::referenceWarmTarget's rule over @p active: the first
+ * instance in activation order with the minimal in_flight below
+ * @p limit.
+ */
+faas::InstanceId
+referenceLeastLoaded(const std::vector<RoutedInstance> &active,
+                     std::uint32_t limit)
+{
+    faas::InstanceId best = faas::kNoInstance;
+    std::uint32_t best_load = 0;
+    for (const RoutedInstance &r : active) {
+        if (r.in_flight < limit &&
+            (best == faas::kNoInstance || r.in_flight < best_load)) {
+            best = r.id;
+            best_load = r.in_flight;
+        }
+    }
+    return best;
+}
+
+TEST(RoutingIndexProperty, MatchesReferenceScanOverRandomOps)
+{
+    sim::Rng rng(0x20a7);
+    constexpr std::uint32_t kServices = 5;
+    faas::RoutingIndex index;
+    // Per service: active instances in activation order, and the ids
+    // that went idle (an idle instance reactivates under a fresh seq).
+    std::vector<std::vector<RoutedInstance>> active(kServices);
+    std::vector<std::vector<faas::InstanceId>> idle(kServices);
+    std::map<faas::InstanceId, std::uint64_t> seq_of; //!< latest key
+    faas::InstanceId next_id = 0;
+    std::uint64_t last_seq = 0;
+    std::size_t indexed = 0;
+
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng.uniformInt(std::uint64_t{n}));
+    };
+
+    for (int op = 0; op < 10'000; ++op) {
+        const auto svc = static_cast<faas::ServiceId>(pick(kServices));
+        std::vector<RoutedInstance> &act = active[svc];
+        if (op == 5'000) {
+            // Checkpoint restore: same next seq, entries re-inserted
+            // in shuffled order with their original keys.
+            std::vector<std::pair<faas::ServiceId, RoutedInstance>> all;
+            for (faas::ServiceId s = 0; s < kServices; ++s) {
+                for (const RoutedInstance &r : active[s])
+                    all.emplace_back(s, r);
+            }
+            for (std::size_t i = all.size(); i > 1; --i)
+                std::swap(all[i - 1], all[pick(i)]);
+            index.resetForRestore(index.nextSeq());
+            ASSERT_EQ(index.size(), 0u);
+            for (const auto &[s, r] : all)
+                index.insertRestored(s, r.id, r.in_flight, seq_of[r.id]);
+            ASSERT_EQ(index.size(), indexed);
+        }
+        switch (pick(6)) {
+        case 0: { // activate: a fresh instance or an idle one
+            faas::InstanceId id = next_id;
+            if (!idle[svc].empty() && rng.bernoulli(0.5)) {
+                const std::size_t k = pick(idle[svc].size());
+                id = idle[svc][k];
+                idle[svc].erase(idle[svc].begin() +
+                                static_cast<std::ptrdiff_t>(k));
+            } else {
+                ++next_id;
+            }
+            const auto load = static_cast<std::uint32_t>(pick(3));
+            const std::uint64_t seq = index.add(svc, id, load);
+            ASSERT_GT(seq, last_seq);
+            last_seq = seq;
+            seq_of[id] = seq;
+            act.push_back(RoutedInstance{id, load});
+            ++indexed;
+            break;
+        }
+        case 1:
+        case 2: { // a request starts or completes
+            if (act.empty())
+                break;
+            RoutedInstance &r = act[pick(act.size())];
+            if (r.in_flight > 0 && rng.bernoulli(0.5))
+                --r.in_flight;
+            else
+                ++r.in_flight;
+            index.reindex(r.id, r.in_flight);
+            break;
+        }
+        case 3: { // deactivate
+            if (act.empty())
+                break;
+            const std::size_t k = pick(act.size());
+            index.remove(act[k].id);
+            idle[svc].push_back(act[k].id);
+            act.erase(act.begin() + static_cast<std::ptrdiff_t>(k));
+            --indexed;
+            break;
+        }
+        default: { // route at a varying concurrency limit
+            const auto limit = static_cast<std::uint32_t>(1 + pick(6));
+            ASSERT_EQ(index.leastLoaded(svc, limit),
+                      referenceLeastLoaded(act, limit))
+                << "op " << op << " service " << svc << " limit " << limit;
+            break;
+        }
+        }
+        ASSERT_EQ(index.size(), indexed) << "op " << op;
+    }
+    // Final sweep: every service at every limit.
+    for (faas::ServiceId s = 0; s < kServices; ++s) {
+        for (std::uint32_t limit = 1; limit <= 8; ++limit)
+            EXPECT_EQ(index.leastLoaded(s, limit),
+                      referenceLeastLoaded(active[s], limit));
+    }
+    EXPECT_EQ(index.leastLoaded(kServices + 3, 4), faas::kNoInstance);
 }
 
 } // namespace

@@ -24,11 +24,11 @@ different machine, so CI passes a deliberately loose value there; the
 robust gate is --assert-speedup, which compares two records of the
 SAME candidate file (same machine, same run):
 
-  --assert-speedup heap_arrivals:wheel_arrivals:2.0
+  --assert-speedup macro_campaign_straight:macro_campaign_forked:3.0
 
-asserts that the `heap_arrivals` median is at least 2.0x the
-`wheel_arrivals` median, i.e. the timing-wheel kernel is >= 2x faster
-than the pure-heap kernel on the same open-loop arrival storm.
+asserts that the `macro_campaign_straight` median is at least 3.0x the
+`macro_campaign_forked` median, i.e. N storms forked from one
+in-memory checkpoint run >= 3x faster than N straight-through runs.
 
 CI also uses the google-benchmark mode to bound the cost of the
 compiled-in-but-disabled observability path against an

@@ -35,7 +35,6 @@
  * `--replay` re-primes and re-forks it. Fault 6 lives on this path.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -44,11 +43,13 @@
 #include <cstring>
 #include <limits>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/trial_runner.hpp"
+#include "support/options.hpp"
 #include "testkit/invariants.hpp"
 #include "testkit/scenario.hpp"
 #include "testkit/shrink.hpp"
@@ -104,13 +105,10 @@ badValue(const char *flag, const char *text, const std::string &want)
 std::uint64_t
 parseUint(const char *flag, const char *text, std::uint64_t max)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
-        v > max)
+    const std::optional<std::uint64_t> v = support::parseUint(text, 0, max);
+    if (!v)
         badValue(flag, text, "an integer in 0.." + std::to_string(max));
-    return v;
+    return *v;
 }
 
 /** A finite, non-negative number of seconds. */
