@@ -530,7 +530,7 @@ parseCount(std::string_view flag, const char *text, std::uint64_t min,
 ShardedArgs
 parseShardedArgs(int argc, char **argv)
 {
-    constexpr std::uint64_t kMaxGroups = 4096; // --threads and --shards
+    constexpr std::uint64_t kMaxGroups = eaao::support::kMaxGroups;
     constexpr std::uint64_t kMaxHosts = 1'000'000;
     constexpr std::uint64_t kMaxRequests = 1'000'000'000'000;
     constexpr std::uint64_t kMaxRounds = 10'000;

@@ -1,8 +1,8 @@
 /**
  * @file
  * The one generic campaign driver: executes any
- * `eaao-scenario v2` campaign file (bench/campaigns/NAME.scenario) or a
- * bare v1 replay, replacing the per-figure bench binaries.
+ * `eaao-scenario v2` campaign file (bench/campaigns/NAME.scenario or a
+ * fuzz replay), replacing the per-figure bench binaries.
  *
  *   run_campaign FILE [--threads N] [--bench-json F] [--trace-json F]
  *                     [--metrics-json F]
@@ -10,7 +10,8 @@
  *   run_campaign --describe FILE    # pretty-print resolved sections
  *
  * A malformed file prints one line-precise diagnostic to stderr and
- * exits 2 (docs/scenario-dsl.md documents the message catalog);
+ * exits 2 (docs/scenario-dsl.md documents the message catalog), and so
+ * does a command line it cannot honour, before anything runs;
  * stdout of a ported campaign is byte-identical to its legacy binary
  * (CI's campaign-parity job diffs against bench/campaigns/expected/).
  */
@@ -27,7 +28,7 @@
 #include "campaign/spec.hpp"
 #include "campaign/specfile.hpp"
 #include "core/report.hpp"
-#include "testkit/scenario.hpp"
+#include "support/options.hpp"
 
 namespace {
 
@@ -57,23 +58,10 @@ readFile(const std::string &path)
     return text.str();
 }
 
-/**
- * Load @p path as a campaign: a v2 file directly; a v1 replay is
- * auto-wrapped by round-tripping it through testkit's Scenario (whose
- * serialize() emits the v2 `replay` campaign).
- */
 campaign::CampaignSpec
 loadCampaign(const std::string &path)
 {
-    const std::string text = readFile(path);
-    if (campaign::looksLikeV1(text)) {
-        testkit::Scenario scenario;
-        std::string error;
-        if (!testkit::Scenario::parse(text, scenario, error))
-            throw campaign::SpecError(path + ": " + error);
-        return campaign::CampaignSpec::parse(scenario.serialize(), path);
-    }
-    return campaign::CampaignSpec::parse(text, path);
+    return campaign::CampaignSpec::parse(readFile(path), path);
 }
 
 int
@@ -142,6 +130,14 @@ describeCampaign(const std::string &path)
     return 0;
 }
 
+/** Reject the command line with one stderr line and exit code 2. */
+int
+badArgs(const std::string &why)
+{
+    std::fprintf(stderr, "run_campaign: %s\n", why.c_str());
+    return 2;
+}
+
 } // namespace
 
 int
@@ -152,27 +148,46 @@ main(int argc, char **argv)
     bool describe = false;
     std::string list_dir = "bench/campaigns";
 
+    // Every flag and value is checked here, before a campaign prints
+    // its title: the programs read the values only later, through the
+    // support:: helpers, and some programs never read them at all.
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h")
             return usage(stdout);
         if (arg == "--list") {
             list = true;
-        } else if (arg == "--describe") {
+            continue;
+        }
+        if (arg == "--describe") {
             describe = true;
-        } else if (arg == "--threads" || arg == "--shards" ||
-                   arg == "--bench-json" || arg == "--trace-json" ||
-                   arg == "--metrics-json") {
-            ++i; // value consumed by the support:: helpers
-        } else if (arg.rfind("--", 0) == 0 &&
-                   arg.find('=') != std::string::npos) {
-            // --threads=N style; also handled by the support helpers
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "run_campaign: unknown flag %s\n",
-                         arg.c_str());
-            return usage(stderr);
-        } else {
+            continue;
+        }
+        if (arg.rfind("--", 0) != 0) {
+            if (!file.empty())
+                return badArgs("expected one file, got '" + file +
+                               "' and '" + arg + "'");
             file = arg;
+            continue;
+        }
+        const std::size_t eq = arg.find('=');
+        const std::string flag = arg.substr(0, eq);
+        const bool count = flag == "--threads" || flag == "--shards";
+        if (!count && flag != "--bench-json" && flag != "--trace-json" &&
+            flag != "--metrics-json")
+            return badArgs("unknown flag " + arg);
+        std::string value;
+        if (eq != std::string::npos)
+            value = arg.substr(eq + 1);
+        else if (i + 1 < argc)
+            value = argv[++i];
+        if (value.empty())
+            return badArgs(flag + " requires a value");
+        if (count &&
+            !support::parseUint(value.c_str(), 1, support::kMaxGroups)) {
+            return badArgs(flag + " needs an integer in 1.." +
+                           std::to_string(support::kMaxGroups) + ", got '" +
+                           value + "'");
         }
     }
 

@@ -3,10 +3,10 @@
  * The `replay` program: executes the scenario embedded in the
  * campaign's [platform]/[tenants]/[script] sections through testkit's
  * deterministic runner and prints the canonical log — the same unit
- * the fuzzer's invariant oracles compare. `run_campaign` auto-wraps a
- * bare v1 replay file into this program, so corpus files run
- * unchanged; [triggers] conditions are evaluated against counters
- * sampled after every step.
+ * the fuzzer's invariant oracles compare. The fuzzer's replay files
+ * and the tests/corpus/ files are campaigns of this program;
+ * [triggers] conditions are evaluated against counters sampled after
+ * every step.
  */
 
 #include "campaign/runner.hpp"

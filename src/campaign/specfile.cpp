@@ -89,20 +89,6 @@ parseHeaderVersion(const std::string &line, unsigned &version)
 }
 
 bool
-looksLikeV1(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        line = trim(line);
-        if (line.empty() || line[0] == '#')
-            continue;
-        return line == "eaao-scenario v1";
-    }
-    return false;
-}
-
-bool
 isKnownSection(const std::string &name)
 {
     for (const char *known : kKnownSections) {
@@ -178,9 +164,9 @@ SpecFile::parse(const std::string &text, const std::string &path,
                             std::to_string(kSpecVersion) + "'");
             }
             if (version == 1) {
-                return fail(
-                    "v1 is the flat replay format; this parser reads "
-                    "the sectioned v2 format (see docs/scenario-dsl.md)");
+                return fail("eaao-scenario v1 is no longer read; upgrade "
+                            "the file to v2 by hand (docs/scenario-dsl.md "
+                            "§9)");
             }
             if (version > kSpecVersion) {
                 return fail("scenario version v" +

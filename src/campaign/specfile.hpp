@@ -79,10 +79,9 @@ struct SpecFile
 
     /**
      * Parse @p text (a v2 file). On failure returns false with a
-     * one-line, line-precise message in @p error. A v1 header is
-     * reported as such (callers that also speak v1 sniff the header
-     * first); a version above kSpecVersion yields the
-     * "newer than this binary supports" message.
+     * one-line, line-precise message in @p error. A v1 header gets a
+     * pointer at the by-hand upgrade; a version above kSpecVersion
+     * yields the "newer than this binary supports" message.
      */
     static bool parse(const std::string &text, const std::string &path,
                       SpecFile &out, std::string &error);
@@ -93,9 +92,6 @@ struct SpecFile
 
 /** "eaao-scenario v<N>" if @p line is a well-formed header. */
 bool parseHeaderVersion(const std::string &line, unsigned &version);
-
-/** True when @p text's first meaningful line is a v1 header. */
-bool looksLikeV1(const std::string &text);
 
 /** Section names the v2 format defines; anything else is an error. */
 bool isKnownSection(const std::string &name);

@@ -19,12 +19,10 @@ ActivityProbe::ActivityProbe(faas::Platform &platform,
     EAAO_ASSERT(platform.instanceInfo(foothold).state !=
                     faas::InstanceState::Terminated,
                 "foothold instance is gone");
-#if EAAO_OBS_ENABLED
     if (obs::MetricsRegistry *metrics = platform.obs().metrics) {
         c_samples_ = metrics->counter("channel.activity_samples");
         c_busy_ = metrics->counter("channel.activity_busy");
     }
-#endif
 }
 
 ActivitySample
@@ -66,7 +64,7 @@ ActivityProbe::watch(sim::Duration interval, sim::Duration span)
 {
     EAAO_ASSERT(interval.ns() > 0, "non-positive sampling interval");
     std::vector<ActivitySample> trace;
-    EAAO_OBS_ONLY(const sim::SimTime obs_start = platform_->now();)
+    const sim::SimTime obs_start = platform_->now();
     const sim::SimTime end = platform_->now() + span;
     while (platform_->now() < end) {
         trace.push_back(sample());

@@ -20,13 +20,11 @@ RngChannel::RngChannel(faas::Platform &platform,
 {
     EAAO_ASSERT(cfg_.detect_min <= cfg_.trials,
                 "detection threshold exceeds trial count");
-#if EAAO_OBS_ENABLED
     if (obs::MetricsRegistry *metrics = platform.obs().metrics) {
         c_group_tests_ = metrics->counter("channel.group_tests");
         h_error_rate_ = metrics->histogram("channel.error_rate",
                                            obs::errorRateBuckets());
     }
-#endif
 }
 
 sim::Duration
@@ -78,8 +76,8 @@ RngChannel::runConcurrent(
 
     sim::Rng &rng = platform_->measurementRng();
     std::vector<GroupTestResult> results(groups.size());
-    EAAO_OBS_ONLY(const sim::SimTime obs_start = platform_->now();
-                  std::size_t obs_instances = 0;)
+    const sim::SimTime obs_start = platform_->now();
+    std::size_t obs_instances = 0;
 
     for (std::size_t g = 0; g < groups.size(); ++g) {
         results[g].positive.assign(groups[g].size(), false);
@@ -107,7 +105,6 @@ RngChannel::runConcurrent(
         }
         ++tests_run_;
 
-#if EAAO_OBS_ENABLED
         obs_instances += groups[g].size();
         if (h_error_rate_ != nullptr && !groups[g].empty()) {
             // Error rate against the simulator's own ground truth: an
@@ -123,7 +120,6 @@ RngChannel::runConcurrent(
                 static_cast<double>(wrong) /
                 static_cast<double>(groups[g].size()));
         }
-#endif
     }
     EAAO_OBS_COUNT(c_group_tests_, groups.size());
 
@@ -147,13 +143,11 @@ MemBusChannel::MemBusChannel(faas::Platform &platform,
                              const MemBusChannelConfig &cfg)
     : platform_(&platform), cfg_(cfg)
 {
-#if EAAO_OBS_ENABLED
     if (obs::MetricsRegistry *metrics = platform.obs().metrics) {
         c_pair_tests_ = metrics->counter("channel.pair_tests");
         h_error_rate_ = metrics->histogram("channel.membus_error_rate",
                                            obs::errorRateBuckets());
     }
-#endif
 }
 
 bool
@@ -162,7 +156,7 @@ MemBusChannel::testPair(faas::InstanceId a, faas::InstanceId b)
     sim::Rng &rng = platform_->measurementRng();
     const bool same =
         platform_->oracleHostOf(a) == platform_->oracleHostOf(b);
-    EAAO_OBS_ONLY(const sim::SimTime obs_start = platform_->now();)
+    const sim::SimTime obs_start = platform_->now();
     platform_->advance(cfg_.test_duration);
     ++tests_run_;
     const bool measured = same ? rng.bernoulli(cfg_.true_positive_prob)

@@ -32,7 +32,6 @@ hashString(const std::string &s)
     return h;
 }
 
-#if EAAO_OBS_ENABLED
 /** Record one finished attack campaign (span + counter).
  *  @p kind must be a string literal ("optimized" / "naive"). */
 void
@@ -54,7 +53,6 @@ recordCampaign(faas::Platform &platform, const char *kind,
              obs::TraceArg::f64("cost_usd", result.cost_usd)});
     }
 }
-#endif
 
 } // namespace
 
@@ -68,7 +66,7 @@ LaunchObservation
 launchAndObserve(faas::Platform &platform, faas::ServiceId service,
                  const LaunchOptions &opts)
 {
-    EAAO_OBS_ONLY(const sim::SimTime obs_start = platform.now();)
+    const sim::SimTime obs_start = platform.now();
     LaunchObservation obs;
     obs.ids = platform.connect(service, opts.instances);
 
@@ -109,7 +107,6 @@ launchAndObserve(faas::Platform &platform, faas::ServiceId service,
     if (opts.disconnect_after)
         platform.disconnectAll(service);
 
-#if EAAO_OBS_ENABLED
     const obs::Observer observer = platform.obs();
     if (observer.metrics != nullptr)
         observer.metrics->counter("strategy.launches")->add();
@@ -122,7 +119,6 @@ launchAndObserve(faas::Platform &platform, faas::ServiceId service,
              obs::TraceArg::u64("apparent_hosts",
                                 obs.apparentHosts().size())});
     }
-#endif
     return obs;
 }
 
@@ -149,7 +145,7 @@ CampaignResult
 runOptimizedCampaign(faas::Platform &platform, faas::AccountId attacker,
                      const CampaignConfig &cfg)
 {
-    EAAO_OBS_ONLY(const sim::SimTime obs_start = platform.now();)
+    const sim::SimTime obs_start = platform.now();
     const double spend_before = platform.accountSpendUsd(attacker);
 
     CampaignResult result;
@@ -198,7 +194,7 @@ runOptimizedCampaign(faas::Platform &platform, faas::AccountId attacker,
     for (const faas::InstanceId id : result.final_instances)
         result.occupied_hosts.insert(platform.oracleHostOf(id));
     result.cost_usd = platform.accountSpendUsd(attacker) - spend_before;
-    EAAO_OBS_ONLY(recordCampaign(platform, "optimized", obs_start, result);)
+    recordCampaign(platform, "optimized", obs_start, result);
     return result;
 }
 
@@ -208,7 +204,7 @@ runNaiveCampaign(faas::Platform &platform, faas::AccountId attacker,
                  std::uint32_t instances_per_service, faas::ExecEnv env,
                  faas::ContainerSize size)
 {
-    EAAO_OBS_ONLY(const sim::SimTime obs_start = platform.now();)
+    const sim::SimTime obs_start = platform.now();
     const double spend_before = platform.accountSpendUsd(attacker);
 
     CampaignResult result;
@@ -237,7 +233,7 @@ runNaiveCampaign(faas::Platform &platform, faas::AccountId attacker,
     for (const faas::InstanceId id : result.final_instances)
         result.occupied_hosts.insert(platform.oracleHostOf(id));
     result.cost_usd = platform.accountSpendUsd(attacker) - spend_before;
-    EAAO_OBS_ONLY(recordCampaign(platform, "naive", obs_start, result);)
+    recordCampaign(platform, "naive", obs_start, result);
     return result;
 }
 

@@ -15,7 +15,6 @@ namespace eaao::core {
 void
 FingerprintHistory::setObserver(obs::Observer observer)
 {
-#if EAAO_OBS_ENABLED
     if (observer.metrics != nullptr) {
         c_observations_ = observer.metrics->counter(
             "tracker.observations");
@@ -25,9 +24,6 @@ FingerprintHistory::setObserver(obs::Observer observer)
         c_observations_ = nullptr;
         h_expiration_days_ = nullptr;
     }
-#else
-    (void)observer;
-#endif
 }
 
 void

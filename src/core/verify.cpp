@@ -19,7 +19,6 @@ namespace eaao::core {
 
 namespace {
 
-#if EAAO_OBS_ENABLED
 /** Record one finished verification run (span + counters). */
 void
 recordVerify(faas::Platform &platform, const char *name,
@@ -42,7 +41,6 @@ recordVerify(faas::Platform &platform, const char *name,
              obs::TraceArg::f64("cost_usd", out.cost_usd)});
     }
 }
-#endif
 
 /** Minimal union-find over instance indices. */
 class Dsu
@@ -488,8 +486,7 @@ verifyScalable(faas::Platform &platform, channel::RngChannel &chan,
     out.elapsed = platform.now() - start;
     out.cost_usd =
         combinedUsdPerSecond(platform, ids) * out.elapsed.secondsF();
-    EAAO_OBS_ONLY(
-        recordVerify(platform, "verify.scalable", start, ids.size(), out);)
+    recordVerify(platform, "verify.scalable", start, ids.size(), out);
     return out;
 }
 
@@ -518,8 +515,7 @@ verifyPairwise(faas::Platform &platform, channel::RngChannel &pair_channel,
     out.elapsed = platform.now() - start;
     out.cost_usd =
         combinedUsdPerSecond(platform, ids) * out.elapsed.secondsF();
-    EAAO_OBS_ONLY(
-        recordVerify(platform, "verify.pairwise", start, ids.size(), out);)
+    recordVerify(platform, "verify.pairwise", start, ids.size(), out);
     return out;
 }
 
@@ -555,8 +551,7 @@ verifyPairwiseMemBus(faas::Platform &platform, channel::MemBusChannel &chan,
     out.elapsed = platform.now() - start;
     out.cost_usd =
         combinedUsdPerSecond(platform, ids) * out.elapsed.secondsF();
-    EAAO_OBS_ONLY(
-        recordVerify(platform, "verify.membus", start, ids.size(), out);)
+    recordVerify(platform, "verify.membus", start, ids.size(), out);
     return out;
 }
 

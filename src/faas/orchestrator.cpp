@@ -31,7 +31,6 @@ Orchestrator::Orchestrator(Fleet &fleet, sim::EventQueue &eq,
     slo_.cold_wait_s.bounds = obs::coldWaitBucketsS();
     slo_.cold_wait_s.counts.assign(slo_.cold_wait_s.bounds.size() + 1, 0);
 
-#if EAAO_OBS_ENABLED
     if (obs_.metrics != nullptr) {
         // Resolve handles once; record sites only null-check.
         static const char *const kReasonCounters[kPlacementReasonCount] = {
@@ -54,7 +53,6 @@ Orchestrator::Orchestrator(Fleet &fleet, sim::EventQueue &eq,
         h_cold_wait_s_ = obs_.metrics->histogram(
             "faas.cold_wait_s", obs::coldWaitBucketsS());
     }
-#endif
 }
 
 AccountId
@@ -1101,19 +1099,16 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
         acct.base_order =
             buildBaseOrder(acct, profile_.per_launch_jitter, stream);
         rebuildBaseIndex(acct);
-#if EAAO_OBS_ENABLED
         // Helper-set churn: fraction of the previous helper prefix (the
         // ~50 hosts a hot service actually reaches) absent from the new
         // one. Pure observation — computed only when a registry is on.
         const std::vector<hw::HostId> prev_helpers =
             h_helper_churn_ != nullptr ? svc.helper_order
                                        : std::vector<hw::HostId>{};
-#endif
         svc.helper_seed = stream();
         svc.helper_order = buildHelperOrder(acct.shard, svc.helper_seed);
         svc.spill_order =
             buildSpillOrder(acct.shard, sim::mix64(svc.helper_seed));
-#if EAAO_OBS_ENABLED
         if (h_helper_churn_ != nullptr && !prev_helpers.empty()) {
             const std::size_t prefix = std::min<std::size_t>(
                 {50, prev_helpers.size(), svc.helper_order.size()});
@@ -1130,7 +1125,6 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
                               static_cast<double>(prefix));
             }
         }
-#endif
     } else if (profile_.base_launch_jitter > 0.0) {
         // Static data centers still rotate a few borderline hosts in
         // and out of the base prefix between launches (Fig. 7).

@@ -215,11 +215,12 @@ struct AdmissionResult
 };
 
 /**
- * SLO accounting for the open-loop admission path. Plain values (not
- * EAAO_OBS-gated instrument sites), so campaign output derived from
- * them is byte-identical whether or not observability is compiled in.
- * Latency of a served request is queue wait plus service time; warm
- * hits wait zero and observe only into latency_s.
+ * SLO accounting for the open-loop admission path. Plain values, not
+ * metrics-registry handles: runs with no registry (loadgen, the
+ * scenario runner, perfbench's sloTotals()) still need them, and the
+ * snapshot image carries them across a restore. Latency of a served
+ * request is queue wait plus service time; warm hits wait zero and
+ * observe only into latency_s.
  */
 struct SloStats
 {

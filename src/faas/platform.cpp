@@ -25,7 +25,6 @@ Platform::Platform(const PlatformConfig &cfg)
     EAAO_OBS_INSTANT(cfg_.obs, "platform.up", "platform", cfg.epoch,
                      {obs::TraceArg::u64("hosts", fleet_->size()),
                       obs::TraceArg::u64("shards", fleet_->shardCount())});
-#if EAAO_OBS_ENABLED
     if (cfg_.obs.metrics != nullptr) {
         obs::Histogram *uptime = cfg_.obs.metrics->histogram(
             "fleet.host_uptime_days", obs::uptimeDaysBuckets());
@@ -34,7 +33,6 @@ Platform::Platform(const PlatformConfig &cfg)
                 (cfg.epoch - fleet_->host(hid).tsc().bootTime()).daysF());
         }
     }
-#endif
 }
 
 AccountId

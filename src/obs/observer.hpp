@@ -9,12 +9,6 @@
  * drivers; a default-constructed Observer disables everything, so the
  * cost of an instrument site in a normal run is one
  * branch-on-null-pointer.
- *
- * Sites are additionally gated by EAAO_OBS_ENABLED (default 1; the
- * CMake option EAAO_ENABLE_OBS=OFF defines it to 0), which compiles
- * the instrumentation out entirely — argument expressions included.
- * Use EAAO_OBS_ONLY() for declarations that exist only to feed a
- * site (e.g. a span's start time).
  */
 
 #ifndef EAAO_OBS_OBSERVER_HPP
@@ -43,15 +37,6 @@ struct Observer
 
 } // namespace eaao::obs
 
-#ifndef EAAO_OBS_ENABLED
-#define EAAO_OBS_ENABLED 1
-#endif
-
-#if EAAO_OBS_ENABLED
-
-/** Declaration or statement present only in instrumented builds. */
-#define EAAO_OBS_ONLY(...) __VA_ARGS__
-
 /** Record an instant event if @p observer has a trace sink. */
 #define EAAO_OBS_INSTANT(observer, ...)                                      \
     do {                                                                     \
@@ -79,23 +64,5 @@ struct Observer
         if ((histogram_ptr) != nullptr)                                      \
             (histogram_ptr)->observe(x);                                     \
     } while (0)
-
-#else // !EAAO_OBS_ENABLED
-
-#define EAAO_OBS_ONLY(...)
-#define EAAO_OBS_INSTANT(observer, ...)                                      \
-    do {                                                                     \
-    } while (0)
-#define EAAO_OBS_SPAN(observer, ...)                                         \
-    do {                                                                     \
-    } while (0)
-#define EAAO_OBS_COUNT(counter_ptr, n)                                       \
-    do {                                                                     \
-    } while (0)
-#define EAAO_OBS_OBSERVE(histogram_ptr, x)                                   \
-    do {                                                                     \
-    } while (0)
-
-#endif // EAAO_OBS_ENABLED
 
 #endif // EAAO_OBS_OBSERVER_HPP

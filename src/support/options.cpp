@@ -27,88 +27,39 @@ parseUint(const char *text, std::uint64_t min, std::uint64_t max)
     return v;
 }
 
-std::uint32_t
-shardsFromArgs(int argc, char **argv, std::uint32_t fallback)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--shards") == 0) {
-            if (i + 1 >= argc)
-                EAAO_FATAL("--shards requires a value");
-            value = argv[i + 1];
-        } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-            value = arg + 9;
-        }
-        if (value != nullptr) {
-            char *end = nullptr;
-            const long n = std::strtol(value, &end, 10);
-            if (end == nullptr || *end != '\0' || n <= 0)
-                EAAO_FATAL("--shards must be a positive integer, got '",
-                           value, "'");
-            return static_cast<std::uint32_t>(n);
-        }
-    }
-    return fallback;
-}
-
 namespace {
 
-/** Parse a strictly positive integer; 0 on failure. */
-unsigned
-parsePositive(const char *text)
+/**
+ * The value of `--flag V` / `--flag=V` in @p argv, or nullptr when the
+ * flag is absent. A trailing flag with no value is a fatal user error.
+ */
+const char *
+flagValue(int argc, char **argv, const char *flag)
 {
-    if (text == nullptr || *text == '\0')
-        return 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0)
-        return 0;
-    return static_cast<unsigned>(v);
-}
-
-} // namespace
-
-unsigned
-defaultThreads()
-{
-    if (const char *env = std::getenv("EAAO_THREADS")) {
-        const unsigned n = parsePositive(env);
-        if (n == 0)
-            EAAO_FATAL("EAAO_THREADS must be a positive integer, got '",
-                       env, "'");
-        return n;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
-
-unsigned
-threadsFromArgs(int argc, char **argv)
-{
+    const std::size_t flag_len = std::strlen(flag);
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strcmp(arg, "--threads") == 0) {
+        if (std::strcmp(arg, flag) == 0) {
             if (i + 1 >= argc)
-                EAAO_FATAL("--threads requires a value");
-            const unsigned n = parsePositive(argv[i + 1]);
-            if (n == 0)
-                EAAO_FATAL("--threads must be a positive integer, got '",
-                           argv[i + 1], "'");
-            return n;
+                EAAO_FATAL(flag, " requires a value");
+            return argv[i + 1];
         }
-        if (std::strncmp(arg, "--threads=", 10) == 0) {
-            const unsigned n = parsePositive(arg + 10);
-            if (n == 0)
-                EAAO_FATAL("--threads must be a positive integer, got '",
-                           arg + 10, "'");
-            return n;
-        }
+        if (std::strncmp(arg, flag, flag_len) == 0 && arg[flag_len] == '=')
+            return arg + flag_len + 1;
     }
-    return defaultThreads();
+    return nullptr;
 }
 
-namespace {
+/** @p text as a thread or shard count; fatal unless in 1..kMaxGroups. */
+unsigned
+groupCount(const char *what, const char *text)
+{
+    const std::optional<std::uint64_t> n = parseUint(text, 1, kMaxGroups);
+    if (!n)
+        EAAO_FATAL(what, " must be an integer in 1..", kMaxGroups,
+                   ", got '", text, "'");
+    return static_cast<unsigned>(*n);
+}
 
 /**
  * Shared parser for path-valued flags: `--flag <path>` / `--flag=<path>`
@@ -117,20 +68,10 @@ namespace {
 std::optional<std::string>
 pathFromArgs(int argc, char **argv, const char *flag, const char *env_var)
 {
-    const std::size_t flag_len = std::strlen(flag);
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, flag) == 0) {
-            if (i + 1 >= argc || argv[i + 1][0] == '\0')
-                EAAO_FATAL(flag, " requires a path");
-            return std::string(argv[i + 1]);
-        }
-        if (std::strncmp(arg, flag, flag_len) == 0 &&
-            arg[flag_len] == '=') {
-            if (arg[flag_len + 1] == '\0')
-                EAAO_FATAL(flag, " requires a path");
-            return std::string(arg + flag_len + 1);
-        }
+    if (const char *value = flagValue(argc, argv, flag)) {
+        if (*value == '\0')
+            EAAO_FATAL(flag, " requires a path");
+        return std::string(value);
     }
     if (const char *env = std::getenv(env_var)) {
         if (*env != '\0')
@@ -140,6 +81,30 @@ pathFromArgs(int argc, char **argv, const char *flag, const char *env_var)
 }
 
 } // namespace
+
+std::uint32_t
+shardsFromArgs(int argc, char **argv, std::uint32_t fallback)
+{
+    const char *value = flagValue(argc, argv, "--shards");
+    return value != nullptr ? groupCount("--shards", value) : fallback;
+}
+
+unsigned
+defaultThreads()
+{
+    if (const char *env = std::getenv("EAAO_THREADS"))
+        return groupCount("EAAO_THREADS", env);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
+
+unsigned
+threadsFromArgs(int argc, char **argv)
+{
+    const char *value = flagValue(argc, argv, "--threads");
+    return value != nullptr ? groupCount("--threads", value)
+                            : defaultThreads();
+}
 
 std::optional<std::string>
 benchJsonFromArgs(int argc, char **argv)

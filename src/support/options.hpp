@@ -36,24 +36,29 @@ namespace eaao::support {
 std::optional<std::uint64_t> parseUint(const char *text, std::uint64_t min,
                                        std::uint64_t max);
 
+/** Largest accepted thread or shard count (`--threads`, `--shards`,
+ *  EAAO_THREADS); the smallest is 1. */
+inline constexpr std::uint64_t kMaxGroups = 4096;
+
 /**
- * Default worker-thread count: EAAO_THREADS if set and positive,
- * otherwise std::thread::hardware_concurrency() (min 1).
+ * Default worker-thread count: EAAO_THREADS if set (an integer in
+ * 1..kMaxGroups, anything else is a fatal user error), otherwise
+ * std::thread::hardware_concurrency() (min 1).
  */
 unsigned defaultThreads();
 
 /**
  * Resolve the worker-thread count for a bench/example binary from
  * `--threads N` / `--threads=N` in @p argv, falling back to
- * defaultThreads(). A malformed or missing value is a fatal user
- * error.
+ * defaultThreads(). A missing value or one outside 1..kMaxGroups is a
+ * fatal user error.
  */
 unsigned threadsFromArgs(int argc, char **argv);
 
 /**
  * Resolve a lane-grouping count from `--shards N` / `--shards=N` in
  * @p argv, falling back to @p fallback when the flag is absent. A
- * malformed or non-positive value is a fatal user error.
+ * missing value or one outside 1..kMaxGroups is a fatal user error.
  */
 std::uint32_t shardsFromArgs(int argc, char **argv,
                              std::uint32_t fallback);

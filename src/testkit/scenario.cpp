@@ -69,10 +69,10 @@ toString(ScenarioStep::Kind kind)
 std::string
 Scenario::serialize() const
 {
-    // v2, the sectioned campaign format (docs/scenario-dsl.md): the
+    // The sectioned campaign format (docs/scenario-dsl.md): the
     // shrinker's replays and the fuzzer's generated scenarios share
     // one schema with the bench campaign files, and `run_campaign`
-    // executes them directly. parse() still reads committed v1 files.
+    // executes them directly.
     std::ostringstream out;
     out << "eaao-scenario v2\n";
     out << "\n[campaign]\n";
@@ -112,7 +112,7 @@ Scenario::serialize() const
 
 namespace {
 
-/** Shared validation of the parsed topology (both versions). */
+/** Validation of the parsed topology: accounts, services, references. */
 bool
 validateScenario(const Scenario &out, std::string &error)
 {
@@ -136,14 +136,17 @@ validateScenario(const Scenario &out, std::string &error)
     return true;
 }
 
+} // namespace
+
 /**
- * The v2 path: the sectioned campaign format. The replay parser reads
- * [platform], [tenants], and [script]; other sections ([campaign],
- * [outputs], ...) belong to the campaign layer and are ignored here.
+ * The replay parser reads [platform], [tenants], [script] and
+ * [timetravel]; other sections ([campaign], [outputs], ...) belong to
+ * the campaign layer and are ignored here.
  */
 bool
-parseV2(const std::string &text, Scenario &out, std::string &error)
+Scenario::parse(const std::string &text, Scenario &out, std::string &error)
 {
+    out = Scenario{};
     campaign::SpecFile file;
     if (!campaign::SpecFile::parse(text, "replay", file, error))
         return false;
@@ -299,117 +302,6 @@ parseV2(const std::string &text, Scenario &out, std::string &error)
         }
     }
 
-    if (!validateScenario(out, error))
-        return false;
-    error.clear();
-    return true;
-}
-
-} // namespace
-
-bool
-Scenario::parse(const std::string &text, Scenario &out, std::string &error)
-{
-    out = Scenario{};
-    out.accounts.clear();
-    out.services.clear();
-    std::istringstream in(text);
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-
-    const auto fail = [&](const std::string &why) {
-        std::ostringstream msg;
-        msg << "line " << line_no << ": " << why;
-        error = msg.str();
-        return false;
-    };
-
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (!saw_header) {
-            if (line != "eaao-scenario v1") {
-                // A well-formed header with a higher version means the
-                // file comes from a newer build: say so instead of a
-                // generic mismatch, so `fuzz_scenarios --replay` fails
-                // with an actionable message (and exits non-zero).
-                unsigned version = 0;
-                if (std::sscanf(line.c_str(), "eaao-scenario v%u",
-                                &version) == 1 &&
-                    version >= 2) {
-                    if (version == campaign::kSpecVersion)
-                        return parseV2(text, out, error);
-                    std::ostringstream msg;
-                    msg << "scenario version v" << version
-                        << " is newer than this binary supports (max v"
-                        << campaign::kSpecVersion
-                        << "); rebuild or regenerate the replay";
-                    return fail(msg.str());
-                }
-                return fail("expected header 'eaao-scenario v1' or "
-                            "'eaao-scenario v2'");
-            }
-            saw_header = true;
-            continue;
-        }
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        if (key == "seed") {
-            if (!(ls >> out.seed))
-                return fail("bad seed");
-        } else if (key == "profile") {
-            unsigned v = 0;
-            if (!(ls >> v) || v > 2)
-                return fail("bad profile (want 0..2)");
-            out.profile = static_cast<std::uint8_t>(v);
-        } else if (key == "hosts") {
-            if (!(ls >> out.host_count))
-                return fail("bad hosts");
-        } else if (key == "isolate") {
-            unsigned v = 0;
-            if (!(ls >> v) || v > 1)
-                return fail("bad isolate (want 0/1)");
-            out.isolate_accounts = v != 0;
-        } else if (key == "hot_burst_min") {
-            if (!(ls >> out.hot_burst_min))
-                return fail("bad hot_burst_min");
-        } else if (key == "fault") {
-            if (!(ls >> out.fault))
-                return fail("bad fault");
-        } else if (key == "account") {
-            ScenarioAccount a;
-            if (!(ls >> a.shard >> a.quota))
-                return fail("bad account line (want: account <shard> <quota>)");
-            out.accounts.push_back(a);
-        } else if (key == "service") {
-            ScenarioService s;
-            unsigned env = 0, size = 0;
-            if (!(ls >> s.account >> env >> size) || env > 1 || size > 3)
-                return fail("bad service line "
-                            "(want: service <account> <env 0/1> <size 0..3>)");
-            s.env = static_cast<std::uint8_t>(env);
-            s.size = static_cast<std::uint8_t>(size);
-            out.services.push_back(s);
-        } else if (key == "step") {
-            std::string token;
-            ScenarioStep s;
-            if (!(ls >> token >> s.target >> s.a >> s.b))
-                return fail("bad step line "
-                            "(want: step <kind> <target> <a> <b>)");
-            if (!parseKind(token, s.kind))
-                return fail("unknown step kind '" + token + "'");
-            out.steps.push_back(s);
-        } else {
-            return fail("unknown key '" + key + "'");
-        }
-    }
-    if (!saw_header) {
-        error = "empty file (no header)";
-        return false;
-    }
     if (!validateScenario(out, error))
         return false;
     error.clear();

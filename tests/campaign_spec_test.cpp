@@ -50,10 +50,10 @@ TEST(SpecFileParse, HeaderErrors)
     EXPECT_NE(parseError("not a scenario\n")
                   .find("expected header 'eaao-scenario v2'"),
               std::string::npos);
-    // v1 gets a pointer at the right parser instead of a flat reject.
-    EXPECT_NE(parseError("eaao-scenario v1\nseed 1\n")
-                  .find("v1 is the flat replay format"),
-              std::string::npos);
+    // v1 is no longer read; the message points at the upgrade table.
+    EXPECT_EQ(parseError("# old replay\neaao-scenario v1\nseed 1\n"),
+              "spec.scenario:2: eaao-scenario v1 is no longer read; "
+              "upgrade the file to v2 by hand (docs/scenario-dsl.md §9)");
     // Future versions fail loudly with the supported maximum.
     EXPECT_NE(parseError("eaao-scenario v3\n")
                   .find("newer than this binary supports (max v2)"),

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "channel/covert.hpp"
 #include "core/fingerprint.hpp"
 #include "faas/platform.hpp"
@@ -137,6 +139,37 @@ TEST(ErrorHandling, ParseUintRejectsSignsJunkAndOverflow)
         EXPECT_EQ(parseUint(bad, 0, ~0ULL), std::nullopt) << bad;
     EXPECT_EQ(parseUint("0", 1, 10), std::nullopt);
     EXPECT_EQ(parseUint("11", 1, 10), std::nullopt);
+}
+
+TEST(ErrorHandling, ThreadAndShardCountsDoNotWrap)
+{
+    // 2^32 + 1 and 2^32 + 4 once wrapped to 1 and 4 through a cast.
+    // Counts outside 1..kMaxGroups are fatal (exit 1), as the
+    // attack_campaign and macro_campaign drivers see them.
+    char prog[] = "bench", threads[] = "--threads", shards[] = "--shards";
+    char wrap[] = "4294967297", over[] = "4097", max[] = "4096";
+    char threads_eq[] = "--threads=4294967300";
+    char *threads_wrap[] = {prog, threads, wrap};
+    char *threads_wrap_eq[] = {prog, threads_eq};
+    char *threads_over[] = {prog, threads, over};
+    char *threads_max[] = {prog, threads, max};
+    char *shards_wrap[] = {prog, shards, wrap};
+    const auto fatal = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(support::threadsFromArgs(3, threads_wrap), fatal,
+                "--threads must be an integer in 1..4096, got '4294967297'");
+    EXPECT_EXIT(support::threadsFromArgs(2, threads_wrap_eq), fatal,
+                "--threads must be an integer in 1..4096");
+    EXPECT_EXIT(support::threadsFromArgs(3, threads_over), fatal,
+                "--threads must be an integer");
+    EXPECT_EQ(support::threadsFromArgs(3, threads_max), 4096u);
+    EXPECT_EXIT(support::shardsFromArgs(3, shards_wrap, 1), fatal,
+                "--shards must be an integer in 1..4096");
+    EXPECT_EXIT(
+        {
+            setenv("EAAO_THREADS", "4294967297", 1);
+            support::defaultThreads();
+        },
+        fatal, "EAAO_THREADS must be an integer in 1..4096");
 }
 
 TEST(Logging, LevelsGateEmission)

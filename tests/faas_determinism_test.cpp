@@ -96,11 +96,9 @@ TEST(Determinism, ObsTraceAndMetricsReplayIdentically)
     const std::string second = obsTracedCampaign(20260806);
     ASSERT_FALSE(first.empty());
     EXPECT_EQ(first, second);
-#if EAAO_OBS_ENABLED
     EXPECT_NE(first.find("instance.create"), std::string::npos);
     EXPECT_NE(first.find("strategy.campaign"), std::string::npos);
     EXPECT_NE(first.find("faas.cold_start_s"), std::string::npos);
-#endif
 }
 
 TEST(Determinism, DistinctSeedsDiverge)

@@ -119,28 +119,25 @@ TEST(Corpus, ShrinkIsFixedPointOnMutationMinima)
     }
 }
 
-TEST(Corpus, V1FilesUpgradeToV2Losslessly)
+TEST(Corpus, FilesRoundTripThroughSerialize)
 {
-    // The committed corpus stays in the legacy flat v1 format on
-    // purpose: it pins backward compatibility. Parsing a v1 file and
-    // re-serializing must produce an equivalent v2 campaign — same
-    // model, same replay behaviour.
+    // Every committed file round-trips: serialize() -> parse() is a
+    // fixed point, keeps the model, and replays to the same log.
     const std::vector<std::filesystem::path> files = corpusFiles();
     ASSERT_FALSE(files.empty());
     for (const std::filesystem::path &path : files) {
         SCOPED_TRACE(path.filename().string());
-        const Scenario v1 = load(path);
-        const std::string v2_text = v1.serialize();
-        EXPECT_NE(v2_text.find("eaao-scenario v2"), std::string::npos);
+        const Scenario file = load(path);
+        const std::string text = file.serialize();
 
-        Scenario v2;
+        Scenario again;
         std::string error;
-        ASSERT_TRUE(Scenario::parse(v2_text, v2, error)) << error;
-        EXPECT_EQ(v2.serialize(), v2_text);
-        EXPECT_EQ(v2.seed, v1.seed);
-        EXPECT_EQ(v2.host_count, v1.host_count);
-        EXPECT_EQ(v2.steps.size(), v1.steps.size());
-        EXPECT_EQ(runScenario(v2).render(), runScenario(v1).render());
+        ASSERT_TRUE(Scenario::parse(text, again, error)) << error;
+        EXPECT_EQ(again.serialize(), text);
+        EXPECT_EQ(again.seed, file.seed);
+        EXPECT_EQ(again.host_count, file.host_count);
+        EXPECT_EQ(again.steps.size(), file.steps.size());
+        EXPECT_EQ(runScenario(again).render(), runScenario(file).render());
     }
 }
 

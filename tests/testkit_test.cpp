@@ -72,20 +72,37 @@ TEST(ScenarioSerialize, RejectsMalformedInput)
     std::string error;
     EXPECT_FALSE(Scenario::parse("", sc, error));
     EXPECT_FALSE(Scenario::parse("not-a-scenario\n", sc, error));
-    EXPECT_FALSE(Scenario::parse("eaao-scenario v1\nbogus 1\n", sc, error));
-    // A service referencing a missing account is structurally invalid.
+    EXPECT_FALSE(Scenario::parse("eaao-scenario v2\n"
+                                 "[platform]\n"
+                                 "bogus = 1\n",
+                                 sc, error));
+    EXPECT_NE(error.find("unknown [platform] key 'bogus'"), std::string::npos)
+        << error;
+    // The retired flat v1 format is refused, not misparsed.
     EXPECT_FALSE(Scenario::parse("eaao-scenario v1\n"
+                                 "account -1 1000\n"
+                                 "service 0 0 1\n",
+                                 sc, error));
+    EXPECT_NE(error.find("v1 is no longer read"), std::string::npos) << error;
+    // A service referencing a missing account is structurally invalid.
+    EXPECT_FALSE(Scenario::parse("eaao-scenario v2\n"
+                                 "[tenants]\n"
                                  "account -1 1000\n"
                                  "service 5 0 1\n",
                                  sc, error));
-    EXPECT_FALSE(error.empty());
+    EXPECT_NE(error.find("references account 5"), std::string::npos)
+        << error;
     // Comments and blank lines are fine.
-    EXPECT_TRUE(Scenario::parse("eaao-scenario v1\n"
+    EXPECT_TRUE(Scenario::parse("eaao-scenario v2\n"
                                 "# comment\n"
                                 "\n"
+                                "[tenants]\n"
                                 "account -1 1000\n"
+                                "\n"
+                                "# comment\n"
                                 "service 0 0 1\n"
-                                "step route 0 5 0\n",
+                                "[script]\n"
+                                "route 0 5 0\n",
                                 sc, error))
         << error;
     EXPECT_EQ(sc.steps.size(), 1u);

@@ -30,11 +30,8 @@ asserts that the `macro_campaign_straight` median is at least 3.0x the
 `macro_campaign_forked` median, i.e. N storms forked from one
 in-memory checkpoint run >= 3x faster than N straight-through runs.
 
-CI also uses the google-benchmark mode to bound the cost of the
-compiled-in-but-disabled observability path against an
-EAAO_ENABLE_OBS=OFF build: the design target is <2% on the placement
-micro-benchmarks, with the threshold held slightly looser to absorb
-shared-runner noise.
+The google-benchmark mode compares two `bench/micro_primitives` runs,
+e.g. one build before and one after a change.
 
 Usage:
   tools/compare_benchmarks.py baseline.json candidate.json \
