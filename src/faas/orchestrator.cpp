@@ -15,6 +15,13 @@
 
 namespace eaao::faas {
 
+namespace {
+
+/** Hosts of the previous helper prefix the churn metric compares. */
+constexpr std::size_t kChurnPrefix = 50;
+
+} // namespace
+
 Orchestrator::Orchestrator(Fleet &fleet, sim::EventQueue &eq,
                            const OrchestratorConfig &cfg,
                            const DataCenterProfile &profile,
@@ -23,9 +30,6 @@ Orchestrator::Orchestrator(Fleet &fleet, sim::EventQueue &eq,
     : fleet_(fleet), eq_(eq), cfg_(cfg), profile_(profile),
       pricing_(pricing), rng_(rng), obs_(obs)
 {
-    host_load_.assign(fleet_.size());
-    acct_load_.resize(fleet_.size());
-
     slo_.latency_s.bounds = obs::requestLatencyBucketsS();
     slo_.latency_s.counts.assign(slo_.latency_s.bounds.size() + 1, 0);
     slo_.cold_wait_s.bounds = obs::coldWaitBucketsS();
@@ -76,7 +80,8 @@ Orchestrator::createAccount(std::optional<std::uint32_t> shard,
     accounts_.push_back(std::move(acct));
     base_index_.emplace_back();
     acct_active_.emplace_back();
-    rebuildBaseIndex(accounts_.back());
+    acct_host_load_.emplace_back();
+    rebuildBaseViews(accounts_.back());
     return accounts_.back().id;
 }
 
@@ -92,13 +97,13 @@ Orchestrator::deployService(AccountId account, ExecEnv env,
     svc.size = size;
     svc.helper_seed =
         sim::mix64(0x5e1fbeef00000000ULL + svc.id * 2654435761ULL);
+    const std::uint32_t shard = accounts_[account].shard;
     svc.helper_order =
-        buildHelperOrder(accounts_[account].shard, svc.helper_seed);
-    svc.spill_order = buildSpillOrder(accounts_[account].shard,
-                                      sim::mix64(svc.helper_seed));
+        buildHelperOrder(shard, svc.helper_seed, helperPrefixFloor(shard));
     services_.push_back(std::move(svc));
     admission_.emplace_back();
-    svc_host_load_.emplace_back(fleet_.size(), 0u);
+    svc_host_load_.emplace_back();
+    svc_views_.emplace_back();
     return services_.back().id;
 }
 
@@ -615,10 +620,11 @@ Orchestrator::createInstance(ServiceRecord &svc, std::uint32_t h)
     acct.spend_usd += startup * pricing_.usdPerActiveSecond(inst.size);
 
     host_load_.add(host, inst.size.vcpus, inst.size.memory_gb);
-    const std::uint32_t acct_on_host = ++acct_load_[host][inst.account];
+    const std::uint32_t acct_on_host = ++acct_host_load_[inst.account].at(host);
     ++acct.live_count;
     base_index_[inst.account].noteLoad(host, acct_on_host);
-    ++svc_host_load_[inst.service][host];
+    noteServiceLoad(inst.service, host,
+                    ++svc_host_load_[inst.service].at(host));
 
     svc.active.push_back(inst.id);
     noteActivated(svc, inst);
@@ -642,8 +648,8 @@ Orchestrator::createInstance(ServiceRecord &svc, std::uint32_t h)
 }
 
 hw::HostId
-Orchestrator::pickHost(const ServiceRecord &svc, const AccountRecord &acct,
-                       std::uint32_t h, PlacementReason &reason) const
+Orchestrator::pickHost(ServiceRecord &svc, const AccountRecord &acct,
+                       std::uint32_t h, PlacementReason &reason)
 {
     if (h > 0) {
         // Hot service: the load balancer relieves the base hosts by
@@ -701,11 +707,11 @@ Orchestrator::pickBaseHost(const ServiceRecord &svc,
     // first-strict-improvement rule selects.
     const PlacementMinIndex &index = base_index_[acct.id];
     while (true) {
-        const auto host = index.pickMin(
+        const auto pick = index.pickMin(
             order, prefix,
             [&](hw::HostId hid) { return hasCapacity(hid, svc.size); });
-        if (host)
-            return host;
+        if (pick)
+            return pick->host;
         if (prefix == order.size())
             return std::nullopt; // home shard is full
         prefix = std::min(prefix * 2, order.size());
@@ -713,12 +719,11 @@ Orchestrator::pickBaseHost(const ServiceRecord &svc,
 }
 
 std::optional<hw::HostId>
-Orchestrator::pickHelperHost(const ServiceRecord &svc,
-                             const AccountRecord &acct,
-                             std::uint32_t h) const
+Orchestrator::pickHelperHost(ServiceRecord &svc, const AccountRecord &acct,
+                             std::uint32_t h)
 {
-    const auto &helpers = svc.helper_order;
-    if (helpers.empty())
+    const std::size_t candidates = helperCandidates(acct.shard);
+    if (candidates == 0)
         return std::nullopt;
 
     // Demand-sized base prefix (the load balancer relieves these hosts
@@ -731,44 +736,38 @@ Orchestrator::pickHelperHost(const ServiceRecord &svc,
     auto helper_prefix = static_cast<std::size_t>(
         std::min<std::uint64_t>(static_cast<std::uint64_t>(h) *
                                     profile_.helper_chunk,
-                                helpers.size()));
+                                candidates));
 
-    // This service's live instances per host.
-    const std::uint32_t *load = svc_host_load_[svc.id].data();
-
+    // Both views key this service's live instances per host; the scan
+    // they replace visits the base prefix first, so a base host wins a
+    // load tie.
+    const auto accept = [&](hw::HostId hid) {
+        return hasCapacity(hid, svc.size);
+    };
+    const ServiceViews &views = serviceViews(svc);
     while (true) {
-        const hw::HostId *best = nullptr;
-        std::uint32_t best_load = 0;
-        auto consider = [&](const hw::HostId &hid) {
-            if (!hasCapacity(hid, svc.size))
-                return;
-            if (best == nullptr || load[hid] < best_load) {
-                best = &hid;
-                best_load = load[hid];
-            }
-        };
-        for (std::size_t i = 0; i < base_prefix; ++i)
-            consider(acct.base_order[i]);
-        for (std::size_t i = 0; i < helper_prefix; ++i)
-            consider(helpers[i]);
-        if (best != nullptr)
-            return *best;
-        if (helper_prefix == helpers.size())
+        ensureHelperPrefix(svc, helper_prefix);
+        if (const auto host = pickMinAcross(
+                views.base, acct.base_order, base_prefix, views.helper,
+                svc.helper_order, helper_prefix, accept))
+            return host;
+        if (helper_prefix == candidates)
             return std::nullopt;
-        helper_prefix = std::min(helper_prefix * 2, helpers.size());
+        helper_prefix = std::min(helper_prefix * 2, candidates);
     }
 }
 
 std::optional<hw::HostId>
-Orchestrator::pickSpillHost(const ServiceRecord &svc) const
+Orchestrator::pickSpillHost(ServiceRecord &svc)
 {
     // Leaked cold placements go to a small, service-specific random
     // set of hosts (NOT the popular helper layer): leaks of different
     // accounts therefore almost never collide, matching the paper's 0%
     // naive cross-account result in us-central1 — while a victim's own
     // leaks escape a same-shard attacker (the 81% case).
-    const auto &order = svc.spill_order;
-    if (order.empty())
+    const std::size_t candidates =
+        helperCandidates(accounts_[svc.account].shard);
+    if (candidates == 0)
         return std::nullopt;
 
     const double live =
@@ -776,27 +775,20 @@ Orchestrator::pickSpillHost(const ServiceRecord &svc) const
     auto prefix = static_cast<std::size_t>(std::ceil(
         (live * profile_.cold_spill_fraction + 1.0) /
         cfg_.spread_target));
-    prefix = std::clamp<std::size_t>(prefix, 1, order.size());
+    prefix = std::clamp<std::size_t>(prefix, 1, candidates);
 
-    const std::uint32_t *load = svc_host_load_[svc.id].data();
-
+    const auto accept = [&](hw::HostId hid) {
+        return hasCapacity(hid, svc.size);
+    };
+    const ServiceViews &views = serviceViews(svc);
     while (true) {
-        const hw::HostId *best = nullptr;
-        std::uint32_t best_load = 0;
-        for (std::size_t i = 0; i < prefix; ++i) {
-            const hw::HostId hid = order[i];
-            if (!hasCapacity(hid, svc.size))
-                continue;
-            if (best == nullptr || load[hid] < best_load) {
-                best = &order[i];
-                best_load = load[hid];
-            }
-        }
-        if (best != nullptr)
-            return *best;
-        if (prefix == order.size())
+        ensureSpillPrefix(svc, prefix);
+        if (const auto pick =
+                views.spill.pickMin(svc.spill_order, prefix, accept))
+            return pick->host;
+        if (prefix == candidates)
             return std::nullopt;
-        prefix = std::min(prefix * 2, order.size());
+        prefix = std::min(prefix * 2, candidates);
     }
 }
 
@@ -858,12 +850,11 @@ Orchestrator::terminate(InstanceRecord &inst)
 
     AccountRecord &acct = accounts_[inst.account];
     host_load_.sub(inst.host, inst.size.vcpus, inst.size.memory_gb);
-    auto &acct_loads = acct_load_[inst.host];
-    const std::uint32_t acct_on_host = --acct_loads[inst.account];
-    if (acct_on_host == 0)
-        acct_loads.erase(inst.account);
+    const std::uint32_t acct_on_host =
+        --acct_host_load_[inst.account].at(inst.host);
     base_index_[inst.account].noteLoad(inst.host, acct_on_host);
-    --svc_host_load_[inst.service][inst.host];
+    noteServiceLoad(inst.service, inst.host,
+                    --svc_host_load_[inst.service].at(inst.host));
     EAAO_ASSERT(acct.live_count > 0, "live-count underflow");
     --acct.live_count;
 
@@ -907,14 +898,92 @@ Orchestrator::noteActivated(ServiceRecord &svc, InstanceRecord &inst)
 }
 
 void
-Orchestrator::rebuildBaseIndex(const AccountRecord &acct)
+Orchestrator::rebuildBaseViews(const AccountRecord &acct)
 {
+    const support::HostMap &loads = acct_host_load_[acct.id];
     base_index_[acct.id].rebuild(
-        acct.base_order, fleet_.size(), [&](hw::HostId hid) {
-            const auto &loads = acct_load_[hid];
-            const auto it = loads.find(acct.id);
-            return it == loads.end() ? 0u : it->second;
-        });
+        acct.base_order, [&](hw::HostId hid) { return loads.get(hid); });
+    for (const ServiceRecord &svc : services_) {
+        if (svc.account == acct.id)
+            svc_views_[svc.id].built = false;
+    }
+}
+
+Orchestrator::ServiceViews &
+Orchestrator::serviceViews(const ServiceRecord &svc)
+{
+    ServiceViews &views = svc_views_[svc.id];
+    if (!views.built) {
+        rebuildServiceView(views.base, accounts_[svc.account].base_order,
+                           svc.id);
+        rebuildServiceView(views.helper, svc.helper_order, svc.id);
+        rebuildServiceView(views.spill, svc.spill_order, svc.id);
+        views.built = true;
+    }
+    return views;
+}
+
+void
+Orchestrator::rebuildServiceView(PlacementMinIndex &view,
+                                 const std::vector<hw::HostId> &order,
+                                 ServiceId service)
+{
+    const support::HostMap &loads = svc_host_load_[service];
+    view.rebuild(order, [&](hw::HostId hid) { return loads.get(hid); });
+}
+
+void
+Orchestrator::noteServiceLoad(ServiceId service, hw::HostId host,
+                              std::uint32_t load)
+{
+    ServiceViews &views = svc_views_[service];
+    if (!views.built)
+        return;
+    views.base.noteLoad(host, load);
+    views.helper.noteLoad(host, load);
+    views.spill.noteLoad(host, load);
+}
+
+std::size_t
+Orchestrator::helperCandidates(std::uint32_t home_shard) const
+{
+    const std::size_t home = fleet_.shardHosts(home_shard).size();
+    return cfg_.isolate_accounts ? home : fleet_.size() - home;
+}
+
+std::size_t
+Orchestrator::helperPrefixFloor(std::uint32_t home_shard) const
+{
+    const std::size_t full_hotness =
+        static_cast<std::size_t>(std::max(cfg_.hotness_cap, 1u)) *
+        profile_.helper_chunk;
+    return std::min(helperCandidates(home_shard),
+                    std::max(full_hotness, kChurnPrefix));
+}
+
+void
+Orchestrator::ensureHelperPrefix(ServiceRecord &svc, std::size_t n)
+{
+    if (svc.helper_order.size() >= n)
+        return;
+    const std::uint32_t shard = accounts_[svc.account].shard;
+    const std::size_t len = std::min(
+        helperCandidates(shard), std::max(n, 2 * svc.helper_order.size()));
+    svc.helper_order = buildHelperOrder(shard, svc.helper_seed, len);
+    rebuildServiceView(svc_views_[svc.id].helper, svc.helper_order, svc.id);
+}
+
+void
+Orchestrator::ensureSpillPrefix(ServiceRecord &svc, std::size_t n)
+{
+    if (svc.spill_order.size() >= n)
+        return;
+    const std::uint32_t shard = accounts_[svc.account].shard;
+    const std::size_t len = std::min(
+        helperCandidates(shard), std::max(n, 2 * svc.spill_order.size()));
+    svc.spill_order =
+        buildSpillOrder(shard, sim::mix64(svc.helper_seed), len);
+    rebuildServiceView(svc_views_[svc.id].spill, svc.spill_order, svc.id);
 }
 
 bool
@@ -936,13 +1005,12 @@ Orchestrator::hasCapacity(hw::HostId host, const ContainerSize &size) const
 }
 
 void
-Orchestrator::attachCommittedLoad(const support::HostLoadSoA *committed)
+Orchestrator::attachCommittedLoad(const support::HostLoadTable *committed)
 {
     committed_load_ = committed;
     // Switching modes resets the local table: in sharded mode it holds
-    // only the lane's not-yet-folded delta, with touch tracking on so
-    // the barrier can drain it.
-    host_load_.assign(fleet_.size(), committed != nullptr);
+    // only the lane's not-yet-folded delta, which the barrier drains.
+    host_load_.clear();
 }
 
 std::vector<hw::HostId>
@@ -976,8 +1044,8 @@ Orchestrator::buildBaseOrder(const AccountRecord &acct, double jitter,
 }
 
 std::vector<hw::HostId>
-Orchestrator::buildHelperOrder(std::uint32_t home_shard,
-                               std::uint64_t seed) const
+Orchestrator::buildHelperOrder(std::uint32_t home_shard, std::uint64_t seed,
+                               std::size_t n) const
 {
     // Helper candidates: every host outside the home shard, ordered by
     // within-shard popularity with per-service jitter. The front of
@@ -985,6 +1053,9 @@ Orchestrator::buildHelperOrder(std::uint32_t home_shard,
     // shards (which is what makes the optimized strategy cover victim
     // base hosts so well), while the jitter keeps helper sets of
     // different services overlapping-but-distinct (Observation 6).
+    // Every candidate draws its key, so the prefix is the first n
+    // entries of the full (key, host) sort, selected without sorting
+    // the rest.
     sim::Rng stream(seed);
     struct Keyed
     {
@@ -992,6 +1063,7 @@ Orchestrator::buildHelperOrder(std::uint32_t home_shard,
         hw::HostId host;
     };
     std::vector<Keyed> keyed;
+    keyed.reserve(helperCandidates(home_shard));
     for (hw::HostId hid = 0; hid < fleet_.size(); ++hid) {
         // Co-location-resistant scheduling flips the candidate set:
         // helpers may only come from the account's own shard.
@@ -1004,24 +1076,29 @@ Orchestrator::buildHelperOrder(std::uint32_t home_shard,
             stream.normal(0.0, profile_.helper_order_jitter);
         keyed.push_back({key, hid});
     }
-    std::sort(keyed.begin(), keyed.end(),
-              [](const Keyed &a, const Keyed &b) {
-                  if (a.key != b.key)
-                      return a.key < b.key;
-                  return a.host < b.host;
-              });
+    const auto before = [](const Keyed &a, const Keyed &b) {
+        if (a.key != b.key)
+            return a.key < b.key;
+        return a.host < b.host;
+    };
+    const auto end = keyed.begin() + static_cast<std::ptrdiff_t>(n);
+    std::nth_element(keyed.begin(), end, keyed.end(), before);
+    std::sort(keyed.begin(), end, before);
     std::vector<hw::HostId> out;
-    out.reserve(keyed.size());
-    for (const auto &k : keyed)
-        out.push_back(k.host);
+    out.reserve(n);
+    for (auto it = keyed.begin(); it != end; ++it)
+        out.push_back(it->host);
     return out;
 }
 
 std::vector<hw::HostId>
-Orchestrator::buildSpillOrder(std::uint32_t home_shard,
-                              std::uint64_t seed) const
+Orchestrator::buildSpillOrder(std::uint32_t home_shard, std::uint64_t seed,
+                              std::size_t n) const
 {
+    // The shuffle fills positions from the back, so even a prefix takes
+    // every draw; only the kept part outlives the call.
     std::vector<hw::HostId> out;
+    out.reserve(helperCandidates(home_shard));
     for (hw::HostId hid = 0; hid < fleet_.size(); ++hid) {
         const bool home = fleet_.shardOf(hid) == home_shard;
         if (cfg_.isolate_accounts ? home : !home)
@@ -1033,6 +1110,8 @@ Orchestrator::buildSpillOrder(std::uint32_t home_shard,
             stream.uniformInt(static_cast<std::uint64_t>(i));
         std::swap(out[i - 1], out[j]);
     }
+    out.resize(n);
+    out.shrink_to_fit();
     return out;
 }
 
@@ -1062,10 +1141,8 @@ Orchestrator::rebuildDerivedState()
     // Restores bypass deployService; queue contents (if any) are
     // restored separately by the snapshotter after this runs.
     admission_.resize(services_.size());
-    acct_load_.assign(fleet_.size(),
-                      support::SmallFlatMap<AccountId, std::uint32_t>{});
-    svc_host_load_.assign(services_.size(),
-                          std::vector<std::uint32_t>(fleet_.size(), 0u));
+    acct_host_load_.assign(accounts_.size(), {});
+    svc_host_load_.assign(services_.size(), {});
     acct_active_.assign(accounts_.size(), {});
     // Keep the restored activation counter; re-key every Active
     // instance with its original route_seq.
@@ -1073,8 +1150,8 @@ Orchestrator::rebuildDerivedState()
     for (const InstanceRecord &inst : instances_) {
         if (inst.state == InstanceState::Terminated)
             continue;
-        ++acct_load_[inst.host][inst.account];
-        ++svc_host_load_[inst.service][inst.host];
+        ++acct_host_load_[inst.account].at(inst.host);
+        ++svc_host_load_[inst.service].at(inst.host);
         if (inst.state == InstanceState::Active) {
             routing_.insertRestored(inst.service, inst.id, inst.in_flight,
                                     inst.route_seq);
@@ -1082,10 +1159,13 @@ Orchestrator::rebuildDerivedState()
             acct_active_[inst.account].push_back(inst.id);
         }
     }
-    base_index_.clear();
-    base_index_.resize(accounts_.size());
-    for (const AccountRecord &acct : accounts_)
-        rebuildBaseIndex(acct);
+    base_index_.assign(accounts_.size(), {});
+    for (const AccountRecord &acct : accounts_) {
+        const support::HostMap &loads = acct_host_load_[acct.id];
+        base_index_[acct.id].rebuild(
+            acct.base_order, [&](hw::HostId hid) { return loads.get(hid); });
+    }
+    svc_views_.assign(services_.size(), {});
 }
 
 void
@@ -1098,7 +1178,7 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
         // regenerate the helper permutation each launch.
         acct.base_order =
             buildBaseOrder(acct, profile_.per_launch_jitter, stream);
-        rebuildBaseIndex(acct);
+        rebuildBaseViews(acct);
         // Helper-set churn: fraction of the previous helper prefix (the
         // ~50 hosts a hot service actually reaches) absent from the new
         // one. Pure observation — computed only when a registry is on.
@@ -1106,12 +1186,13 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
             h_helper_churn_ != nullptr ? svc.helper_order
                                        : std::vector<hw::HostId>{};
         svc.helper_seed = stream();
-        svc.helper_order = buildHelperOrder(acct.shard, svc.helper_seed);
-        svc.spill_order =
-            buildSpillOrder(acct.shard, sim::mix64(svc.helper_seed));
+        svc.helper_order = buildHelperOrder(acct.shard, svc.helper_seed,
+                                            helperPrefixFloor(acct.shard));
+        svc.spill_order.clear(); // rebuilt from the new seed on first use
+        svc_views_[svc.id].built = false;
         if (h_helper_churn_ != nullptr && !prev_helpers.empty()) {
             const std::size_t prefix = std::min<std::size_t>(
-                {50, prev_helpers.size(), svc.helper_order.size()});
+                {kChurnPrefix, prev_helpers.size(), svc.helper_order.size()});
             if (prefix > 0) {
                 std::size_t kept = 0;
                 const auto new_end = svc.helper_order.begin() +
@@ -1130,7 +1211,7 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
         // and out of the base prefix between launches (Fig. 7).
         acct.base_order =
             buildBaseOrder(acct, profile_.base_launch_jitter, stream);
-        rebuildBaseIndex(acct);
+        rebuildBaseViews(acct);
     }
 }
 

@@ -37,8 +37,8 @@
 #include "obs/observer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
-#include "support/flat_map.hpp"
-#include "support/soa.hpp"
+#include "support/host_load.hpp"
+#include "support/host_map.hpp"
 
 namespace eaao::snap {
 class Snapshotter;
@@ -140,8 +140,9 @@ struct OrchestratorConfig
      *
      * Mode 5 lives in the checkpoint restore path
      * (snap::Snapshotter; see docs/checkpoint.md): the first restored
-     * lane with a non-empty capacity-delta touch list loses its vcpus
-     * delta column. The snapshot oracle is the one that must catch it.
+     * lane with a non-empty capacity delta gets the vcpus values of
+     * its delta entries zeroed. The snapshot oracle is the one that
+     * must catch it.
      *
      * Mode 6 lives in the time-travel fork path
      * (ShardedPlatform::appendOps; see docs/testing.md): when a
@@ -186,8 +187,20 @@ struct ServiceRecord
     /** Requests one instance serves concurrently (Cloud Run default
      *  in the paper's setup: one connection per instance). */
     std::uint32_t max_concurrency = 1;
-    std::vector<hw::HostId> helper_order;    //!< helper preference list
-    std::vector<hw::HostId> spill_order;     //!< cold-leak destinations
+    /**
+     * Prefix of the helper preference list: the first entries of all
+     * helper candidates sorted by (jittered popularity key, host).
+     * Holds at least what a pick at full hotness reads
+     * (Orchestrator::helperPrefixFloor); a pick that doubles past it
+     * regenerates a longer prefix from helper_seed.
+     */
+    std::vector<hw::HostId> helper_order;
+    /**
+     * Prefix of the cold-leak destinations (a seeded shuffle of the
+     * same candidates). Empty until the first spill, and regenerated
+     * longer when a spill pick doubles past it.
+     */
+    std::vector<hw::HostId> spill_order;
     std::deque<std::pair<sim::SimTime, std::uint32_t>> bursts;
     /** Creation instants from the request path (burst aggregation). */
     std::deque<sim::SimTime> request_creations;
@@ -395,14 +408,14 @@ class Orchestrator
     /**
      * Sharded-lane mode: capacity checks read @p committed (the
      * window-start snapshot shared by all lanes) *plus* this
-     * orchestrator's local table, which from now on holds only the
-     * lane's own not-yet-folded delta (touch tracking on). nullptr
-     * restores standalone mode. See docs/sharding.md.
+     * orchestrator's local table, which is emptied and from now on
+     * holds only the lane's own not-yet-folded delta. nullptr restores
+     * standalone mode. See docs/sharding.md.
      */
-    void attachCommittedLoad(const support::HostLoadSoA *committed);
+    void attachCommittedLoad(const support::HostLoadTable *committed);
 
     /** The local load table (the lane delta in sharded mode). */
-    support::HostLoadSoA &localLoad() { return host_load_; }
+    support::HostLoadTable &localLoad() { return host_load_; }
 
     /**
      * EventTag kinds for the callback families the orchestrator
@@ -436,10 +449,12 @@ class Orchestrator
                                           std::uint64_t arg);
 
     /**
-     * Rebuild every derived table (per-host account/service load maps,
-     * routing-index entries, per-account active sets, dense per-service
-     * host loads, placement min-views) from the restored primary
-     * records. The routing index's next_seq must already be restored.
+     * Rebuild every derived table (per-account and per-service host
+     * counts, routing-index entries, per-account active sets, the
+     * accounts' placement min-views) from the restored primary
+     * records, in O(instances + base-order hosts); service views
+     * restore unbuilt. The routing index's next_seq must already be
+     * restored.
      */
     void rebuildDerivedState();
 
@@ -450,9 +465,8 @@ class Orchestrator
     InstanceId createInstance(ServiceRecord &svc, std::uint32_t hotness);
 
     /** Pick a host for a new instance, reporting the path taken. */
-    hw::HostId pickHost(const ServiceRecord &svc,
-                        const AccountRecord &acct, std::uint32_t hotness,
-                        PlacementReason &reason) const;
+    hw::HostId pickHost(ServiceRecord &svc, const AccountRecord &acct,
+                        std::uint32_t hotness, PlacementReason &reason);
 
     /** Cold path: least-loaded base host within the demand prefix. */
     std::optional<hw::HostId> pickBaseHost(const ServiceRecord &svc,
@@ -460,17 +474,17 @@ class Orchestrator
         const;
 
     /**
-     * Hot path: least-loaded host among the demand-sized base prefix
-     * plus the hotness-sized helper prefix (the load balancer relieves
-     * the base hosts without abandoning them).
+     * Hot path: least-loaded host (by this service's instances) among
+     * the demand-sized base prefix plus the hotness-sized helper
+     * prefix (the load balancer relieves the base hosts without
+     * abandoning them). Base hosts win load ties.
      */
-    std::optional<hw::HostId> pickHelperHost(const ServiceRecord &svc,
+    std::optional<hw::HostId> pickHelperHost(ServiceRecord &svc,
                                              const AccountRecord &acct,
-                                             std::uint32_t hotness) const;
+                                             std::uint32_t hotness);
 
     /** Dynamic-DC cold spill: a random host off the base set. */
-    std::optional<hw::HostId> pickSpillHost(const ServiceRecord &svc)
-        const;
+    std::optional<hw::HostId> pickSpillHost(ServiceRecord &svc);
 
     /** Schedule the idle-reap event for an instance. */
     void scheduleReap(InstanceRecord &inst);
@@ -531,8 +545,46 @@ class Orchestrator
      */
     void noteActivated(ServiceRecord &svc, InstanceRecord &inst);
 
-    /** Rebuild an account's placement min-view after an order change. */
-    void rebuildBaseIndex(const AccountRecord &acct);
+    /**
+     * After @p acct's base order changed: rebuild the account's own
+     * min-view, and drop the views of every service of the account
+     * (they cover the base order too).
+     */
+    void rebuildBaseViews(const AccountRecord &acct);
+
+    struct ServiceViews;
+
+    /**
+     * @p svc's min-views, built from its host counts on first use: a
+     * service that never goes hot or spills never builds them.
+     */
+    ServiceViews &serviceViews(const ServiceRecord &svc);
+
+    /** Rebuild @p view over @p order with @p service's host counts. */
+    void rebuildServiceView(PlacementMinIndex &view,
+                            const std::vector<hw::HostId> &order,
+                            ServiceId service);
+
+    /** Fold a service's new live count on @p host into its views. */
+    void noteServiceLoad(ServiceId service, hw::HostId host,
+                         std::uint32_t load);
+
+    /**
+     * Hosts a helper or spill order draws from: every host outside the
+     * home shard, or inside it under isolate_accounts.
+     */
+    std::size_t helperCandidates(std::uint32_t home_shard) const;
+
+    /**
+     * Helper prefix kept after every (re)build: what a pick at full
+     * hotness reads, and at least the 50 hosts the helper-churn metric
+     * compares, bounded by the candidate count.
+     */
+    std::size_t helperPrefixFloor(std::uint32_t home_shard) const;
+
+    /** Regenerate a longer helper/spill prefix when a pick needs @p n. */
+    void ensureHelperPrefix(ServiceRecord &svc, std::size_t n);
+    void ensureSpillPrefix(ServiceRecord &svc, std::size_t n);
 
     /** Capacity check for one more instance of @p size on @p host. */
     bool hasCapacity(hw::HostId host, const ContainerSize &size) const;
@@ -542,13 +594,15 @@ class Orchestrator
                                            double jitter,
                                            sim::Rng &rng) const;
 
-    /** Build/refresh a per-service helper order. */
+    /** The first @p n entries of a per-service helper order. */
     std::vector<hw::HostId> buildHelperOrder(std::uint32_t home_shard,
-                                             std::uint64_t seed) const;
+                                             std::uint64_t seed,
+                                             std::size_t n) const;
 
-    /** Build/refresh a per-service cold-spill order (uniform random). */
+    /** The first @p n entries of a per-service cold-spill order. */
     std::vector<hw::HostId> buildSpillOrder(std::uint32_t home_shard,
-                                            std::uint64_t seed) const;
+                                            std::uint64_t seed,
+                                            std::size_t n) const;
 
     /** Apply per-launch dynamism (us-central1 style), if configured. */
     void refreshPreferences(ServiceRecord &svc, AccountRecord &acct);
@@ -585,19 +639,21 @@ class Orchestrator
     SloStats slo_;
 
     /**
-     * Per-host capacity in use, SoA columns (support::HostLoadSoA).
-     * Standalone: the whole truth. Sharded lane: the lane's delta
-     * since the last window barrier, read against committed_load_.
+     * Capacity in use on the hosts this orchestrator touched
+     * (support::HostLoadTable). Standalone: the whole truth. Sharded
+     * lane: the lane's delta since the last window barrier, read
+     * against committed_load_.
      */
-    support::HostLoadSoA host_load_;
-    const support::HostLoadSoA *committed_load_ = nullptr;
+    support::HostLoadTable host_load_;
+    const support::HostLoadTable *committed_load_ = nullptr;
+
     /**
-     * Per-host live-instance count by account, the source the base
-     * min-views are rebuilt from. Host-local cardinality is ~10
-     * (Obs 1), so a sorted vector beats a hash table and iterates
-     * deterministically.
+     * Live-instance counts per host, sparse over the hosts each
+     * account (service) has placed on; the sources the min-views are
+     * rebuilt from. Counts that return to zero stay as zeros.
      */
-    std::vector<support::SmallFlatMap<AccountId, std::uint32_t>> acct_load_;
+    std::vector<support::HostMap> acct_host_load_; //!< per account
+    std::vector<support::HostMap> svc_host_load_;  //!< per service
 
     /**
      * Incremental decision indexes. Each reproduces a brute-force
@@ -606,13 +662,23 @@ class Orchestrator
      */
     RoutingIndex routing_;                        //!< least-loaded routing
     std::vector<PlacementMinIndex> base_index_;   //!< per account
+    /**
+     * A service's loads over the three orders its picks read, kept
+     * only while built: dropped (built = false) when an order they
+     * cover is re-jittered or regenerated, rebuilt by serviceViews().
+     */
+    struct ServiceViews
+    {
+        bool built = false;
+        PlacementMinIndex base;   //!< over the account's base order
+        PlacementMinIndex helper; //!< over helper_order
+        PlacementMinIndex spill;  //!< over spill_order
+    };
+    std::vector<ServiceViews> svc_views_;         //!< per service
     /** Per account: Active instance ids, sorted ascending (so the
      *  spend query sums in the same order a full instance-table scan
      *  does — bit-identical doubles). */
     std::vector<std::vector<InstanceId>> acct_active_;
-    /** Per service: dense per-host live-instance counts, read by the
-     *  helper and spill scans. */
-    std::vector<std::vector<std::uint32_t>> svc_host_load_;
 };
 
 } // namespace eaao::faas

@@ -1,22 +1,32 @@
 /**
  * @file
- * Incremental per-account placement index.
+ * Incremental min-load view over one host preference order.
  *
- * Wraps a support::MinLoadTree over one account's base-host preference
- * order so that the orchestrator's cold placement (`pickBaseHost`) can
- * find the least-loaded host of a demand-sized prefix without
- * re-scanning the prefix and re-querying the per-host load tables per
- * candidate. Loads are folded in incrementally on every instance
- * create/terminate; the tree is rebuilt whenever the preference order
- * itself is re-jittered (at most once per launch — the same cadence at
- * which the order was already being rebuilt).
+ * Wraps a support::MinLoadTree over a preference order so that the
+ * orchestrator's placements find the least-loaded host of a prefix
+ * without re-scanning the prefix and re-querying the per-host load
+ * tables per candidate. The orchestrator keeps four kinds of view:
+ *
+ *  - per account, its live-instance count over the account's base
+ *    order (`pickBaseHost`);
+ *  - per service, the service's live-instance count over its
+ *    account's base order, over its helper prefix and over its spill
+ *    prefix (`pickHelperHost`, `pickSpillHost`), built at the
+ *    service's first such pick.
+ *
+ * Loads are folded in incrementally on every instance create/terminate;
+ * a view is rebuilt whenever its order itself changes (a re-jittered
+ * base order, a regenerated helper or spill prefix). Host positions
+ * live in a sparse HostMap, so a view costs O(order length), never
+ * O(fleet).
  *
  * Selection semantics are those of a linear prefix scan: first
- * position in order carrying the minimal load of this account,
- * skipping hosts without capacity (see min_load_tree.hpp for why the
- * tree's argmin reproduces the first-strict-improvement tie-break).
- * testkit::referenceBaseHost is that scan, recomputed from the
- * orchestrator's records; the `reference` oracle holds the two equal.
+ * position in order carrying the minimal load, skipping hosts without
+ * capacity (see min_load_tree.hpp for why the tree's argmin reproduces
+ * the first-strict-improvement tie-break). testkit::referenceBaseHost,
+ * referenceHelperHost and referenceSpillHost are those scans,
+ * recomputed from the orchestrator's records; the `reference` oracle
+ * holds each pick equal to its scan.
  */
 
 #ifndef EAAO_FAAS_PLACEMENT_INDEX_HPP
@@ -27,54 +37,54 @@
 #include <vector>
 
 #include "hw/host.hpp"
+#include "support/host_map.hpp"
 #include "support/min_load_tree.hpp"
 
 namespace eaao::faas {
 
-/** Min-load view over one account's base-host order. */
+/** Min-load view over one host preference order. */
 class PlacementMinIndex
 {
   public:
+    /** A prefix minimum: the host and the load it was picked at. */
+    struct Pick
+    {
+        hw::HostId host = 0;
+        std::uint32_t load = 0;
+    };
+
     /**
-     * Rebuild for a (possibly re-jittered) preference @p order.
-     * @p load_of returns the account's current live-instance count on
-     * a host. @p fleet_size bounds host ids.
+     * Rebuild for a (possibly re-jittered or extended) preference
+     * @p order of distinct hosts. @p load_of returns the current load
+     * of a host.
      */
     template <typename LoadOf>
     void
-    rebuild(const std::vector<hw::HostId> &order, std::size_t fleet_size,
-            LoadOf &&load_of)
+    rebuild(const std::vector<hw::HostId> &order, LoadOf &&load_of)
     {
-        if (pos_of_host_.size() != fleet_size)
-            pos_of_host_.assign(fleet_size, -1);
-        // Preference orders are permutations of a fixed membership (the
-        // account's home shard), so overwriting the members' slots
-        // leaves no stale positions behind.
-        loads_.resize(order.size());
-        for (std::size_t i = 0; i < order.size(); ++i) {
-            pos_of_host_[order[i]] = static_cast<std::int32_t>(i);
-            loads_[i] = load_of(order[i]);
-        }
-        tree_.assign(loads_);
+        pos_of_host_.clear();
+        for (std::size_t i = 0; i < order.size(); ++i)
+            pos_of_host_.insert(order[i], static_cast<std::uint32_t>(i));
+        tree_.assign(order.size(),
+                     [&](std::size_t i) { return load_of(order[i]); });
     }
 
     /** Fold in @p host's new load (no-op for hosts off the order). */
     void
     noteLoad(hw::HostId host, std::uint32_t load)
     {
-        if (host >= pos_of_host_.size())
-            return;
-        const std::int32_t pos = pos_of_host_[host];
-        if (pos >= 0)
-            tree_.update(static_cast<std::size_t>(pos), load);
+        const std::uint32_t *pos = pos_of_host_.find(host);
+        if (pos != nullptr)
+            tree_.update(*pos, load);
     }
 
     /**
      * First host of order[0..prefix) with minimal load that @p accept
-     * allows, or nullopt when every prefix host is rejected.
+     * allows, or nullopt when every prefix host is rejected. @p order
+     * must be the order the view was last rebuilt for.
      */
     template <typename Accept>
-    std::optional<hw::HostId>
+    std::optional<Pick>
     pickMin(const std::vector<hw::HostId> &order, std::size_t prefix,
             Accept &&accept) const
     {
@@ -82,14 +92,37 @@ class PlacementMinIndex
             prefix, [&](std::size_t p) { return accept(order[p]); });
         if (!pos)
             return std::nullopt;
-        return order[*pos];
+        return Pick{order[*pos], tree_.load(*pos)};
     }
 
   private:
-    std::vector<std::int32_t> pos_of_host_;
-    std::vector<std::uint32_t> loads_; //!< rebuild scratch
+    support::HostMap pos_of_host_; //!< host -> position in order
     support::MinLoadTree tree_;
 };
+
+/**
+ * The pick over two views that a linear scan of
+ * first_order[0..first_prefix) followed by second_order[0..second_prefix)
+ * makes: the first strict minimum among accepted hosts. A host of the
+ * first order therefore wins a load tie, and a host on both orders is
+ * taken at its first-order position.
+ */
+template <typename Accept>
+std::optional<hw::HostId>
+pickMinAcross(const PlacementMinIndex &first,
+              const std::vector<hw::HostId> &first_order,
+              std::size_t first_prefix, const PlacementMinIndex &second,
+              const std::vector<hw::HostId> &second_order,
+              std::size_t second_prefix, Accept &&accept)
+{
+    const auto a = first.pickMin(first_order, first_prefix, accept);
+    const auto b = second.pickMin(second_order, second_prefix, accept);
+    if (a && (!b || a->load <= b->load))
+        return a->host;
+    if (b)
+        return b->host;
+    return std::nullopt;
+}
 
 } // namespace eaao::faas
 

@@ -50,7 +50,6 @@ ShardedPlatform::ShardedPlatform(const ShardedConfig &cfg,
     sim::Rng fleet_rng = root.fork(0x464c4545ULL); // "FLEE"
     fleet_ = std::make_unique<Fleet>(cfg_.profile, cfg_.tsc, cfg_.timing,
                                      cfg_.epoch, fleet_rng);
-    committed_.assign(fleet_->size());
 
     const std::uint32_t lanes = std::min<std::uint32_t>(
         std::max(1u, cfg_.max_lanes), fleet_->shardCount());
@@ -477,7 +476,7 @@ ShardedPlatform::foldBarrier(std::uint32_t window_index)
     support::HostLoadFold total;
     std::uint32_t folded_lanes = 0;
     for (std::uint32_t i = 0; i < laneCount(); ++i) {
-        support::HostLoadSoA &delta = lanes_[i]->orch->localLoad();
+        support::HostLoadTable &delta = lanes_[i]->orch->localLoad();
         // Fault 4 (mutation self-test): non-leading lanes of a group
         // lose their exchange — the cross-lane capacity message is
         // dropped on the floor. Grouping-dependent by construction.

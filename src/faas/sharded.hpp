@@ -24,7 +24,7 @@
  * recorded per lane — is byte-identical for every (shards, threads)
  * combination. testkit's shard-equality oracle enforces exactly this.
  *
- * See docs/sharding.md for the protocol, the SoA capacity ledger, and
+ * See docs/sharding.md for the protocol, the sparse capacity ledger, and
  * the planted fault modes (OrchestratorConfig::fault_injection 3/4).
  */
 
@@ -45,7 +45,7 @@
 #include "obs/export.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
-#include "support/soa.hpp"
+#include "support/host_load.hpp"
 
 namespace eaao::snap {
 class Snapshotter;
@@ -261,7 +261,7 @@ class ShardedPlatform
     SloStats sloTotals() const;
 
     /** The shared committed capacity table (tests: conservation). */
-    const support::HostLoadSoA &committedLoad() const { return committed_; }
+    const support::HostLoadTable &committedLoad() const { return committed_; }
 
     /** A lane's orchestrator (tests: account/instance inspection). */
     const Orchestrator &laneOrchestrator(std::uint32_t lane) const;
@@ -329,7 +329,7 @@ class ShardedPlatform
 
     ShardedConfig cfg_;
     std::unique_ptr<Fleet> fleet_;
-    support::HostLoadSoA committed_; //!< window-start capacity snapshot
+    support::HostLoadTable committed_; //!< window-start capacity snapshot
     std::vector<std::unique_ptr<Lane>> lanes_;
     std::unique_ptr<exp::ThreadPool> pool_;
     obs::TrialSet *obs_set_ = nullptr; //!< not owned; may be null

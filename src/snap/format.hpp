@@ -48,8 +48,13 @@ inline constexpr char kMagic[8] = {'E', 'A', 'A', 'O', 'S', 'N', 'A', 'P'};
  * `end` (always origin + the op's span). Version 4 deletes the timing
  * wheel: the event-queue image lost `wheel_frontier` and the wheel
  * entry table (every pending entry is in the heap or staging buffer).
+ * Version 5 drops every fleet-sized record: the committed table and
+ * each lane's delta are written as host-load entries (host, vcpus,
+ * memory) in first-touch order instead of dense columns plus a touch
+ * list, and each service's helper and spill orders as the prefixes
+ * the orchestrator keeps.
  */
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /** Section identifiers (id 0x100 + lane for per-lane sections). */
 inline constexpr std::uint32_t kSectionMeta = 1;

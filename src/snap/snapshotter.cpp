@@ -3,14 +3,20 @@
  * ShardedPlatform checkpoint capture/restore (see snapshotter.hpp).
  *
  * Serialization strategy: the *primary* records of each lane
- * orchestrator (accounts, services, instances, RNG position, routing
- * sequence counter, host-load columns) are stored verbatim — every
- * double as its IEEE-754 bit pattern — while the *derived* tables
- * (per-host load maps, routing-index entries, per-account active
- * sets, placement min-views) are rebuilt deterministically by
- * Orchestrator::rebuildDerivedState() after restore. Event-queue
+ * orchestrator (accounts, services with their helper and spill
+ * prefixes, instances, RNG position, routing sequence counter, the
+ * host-load table's entries in first-touch order) are stored verbatim
+ * — every double as its IEEE-754 bit pattern — while the *derived*
+ * tables (per-account and per-service host counts, routing-index
+ * entries, per-account active sets, placement min-views) are rebuilt
+ * deterministically by Orchestrator::rebuildDerivedState() after
+ * restore. Nothing in the image is sized by the fleet. Event-queue
  * callbacks are serialized as EventTags and rebound through
  * Orchestrator::rebindEvent().
+ *
+ * Restore checks every id (hosts, accounts, services, instances,
+ * lanes) before anything indexes with it, and refuses a checksum-valid
+ * but inconsistent image with one "corrupt snapshot: ..." line.
  */
 
 #include "snap/snapshotter.hpp"
@@ -108,9 +114,76 @@ stF64(std::uint8_t *p, double v)
     stLE(p, bits, 8);
 }
 
-/** Fixed wire widths of the two bulk-encoded record tables. */
+/** Fixed wire widths of the three bulk-encoded record tables. */
 constexpr std::size_t kInstWire = 84;
 constexpr std::size_t kTraceWire = 29;
+constexpr std::size_t kLoadWire = 20; //!< u32 host, f64 vcpus, f64 mem
+
+/** A load table's entries, in first-touch order. */
+void
+putLoadTable(SectionWriter &out, const support::HostLoadTable &table)
+{
+    out.putU64(table.size());
+    std::uint8_t *p = out.grow(table.size() * kLoadWire);
+    for (std::size_t e = 0; e < table.size(); ++e) {
+        stLE(p, table.hosts()[e], 4);
+        stF64(p + 4, table.vcpusColumn()[e]);
+        stF64(p + 12, table.memColumn()[e]);
+        p += kLoadWire;
+    }
+}
+
+/**
+ * Read a load table's entries into @p table, refusing hosts past the
+ * fleet and duplicated hosts. @p zero_vcpus arms planted fault 5: the
+ * entries' vcpus values restore as 0.
+ */
+bool
+getLoadTable(SectionReader &in, std::uint32_t fleet_size, bool zero_vcpus,
+             support::HostLoadTable &table, std::string &error)
+{
+    std::uint64_t n = 0;
+    const std::uint8_t *raw = nullptr;
+    if (!in.getU64(n) || n > in.remaining() / kLoadWire ||
+        (raw = in.take(static_cast<std::size_t>(n) * kLoadWire)) == nullptr) {
+        error = "truncated snapshot: host-load table";
+        return false;
+    }
+    table.clear();
+    for (std::uint64_t e = 0; e < n; ++e) {
+        const std::uint8_t *p = raw + e * kLoadWire;
+        const std::uint32_t host = ldU32(p);
+        if (host >= fleet_size) {
+            error = "corrupt snapshot: host-load entry for host " +
+                    std::to_string(host) + " past the fleet";
+            return false;
+        }
+        if (!table.restoreEntry(host, zero_vcpus ? 0.0 : ldF64(p + 4),
+                                ldF64(p + 12))) {
+            error = "corrupt snapshot: duplicate host-load entry for host " +
+                    std::to_string(host);
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * True when @p order lists distinct hosts of the fleet, each of them
+ * accepted by @p member.
+ */
+template <typename Member>
+bool
+distinctMembers(const std::vector<hw::HostId> &order,
+                std::uint32_t fleet_size, Member &&member)
+{
+    support::HostMap seen;
+    for (const hw::HostId host : order) {
+        if (host >= fleet_size || !member(host) || !seen.insert(host, 0))
+            return false;
+    }
+    return true;
+}
 
 void
 putU32Vec(SectionWriter &out, const std::vector<std::uint32_t> &v)
@@ -568,9 +641,7 @@ Snapshotter::captureLane(const faas::ShardedPlatform::Lane &lane,
         ip += kInstWire;
     }
 
-    putF64Vec(out, orch.host_load_.vcpusColumn());
-    putF64Vec(out, orch.host_load_.memColumn());
-    putU32Vec(out, orch.host_load_.touched());
+    putLoadTable(out, orch.host_load_);
 
     out.putU64(lane.trace.events().size());
     std::uint8_t *tp = out.grow(lane.trace.events().size() * kTraceWire);
@@ -701,8 +772,7 @@ Snapshotter::capture(const faas::ShardedPlatform &platform)
     writer.addSection(kSectionMeta, meta.take());
 
     SectionWriter committed;
-    putF64Vec(committed, platform.committed_.vcpusColumn());
-    putF64Vec(committed, platform.committed_.memColumn());
+    putLoadTable(committed, platform.committed_);
     writer.addSection(kSectionCommitted, committed.take());
 
     // Lane sections serialize independently; build them in parallel
@@ -738,11 +808,17 @@ Snapshotter::restoreLane(SectionReader &in,
         error = std::string("truncated snapshot: ") + what;
         return false;
     };
+    const auto corrupt = [&error](const std::string &what) {
+        error = "corrupt snapshot: " + what;
+        return false;
+    };
 
     sim::EventQueueImage img;
     if (!getEventQueueImage(in, img))
         return bail("lane event-queue image");
     faas::Orchestrator &orch = *lane.orch;
+    const faas::Fleet &fleet = orch.fleet_;
+    const std::uint32_t fleet_size = fleet.size();
 
     sim::RngState rng;
     if (!getRng(in, rng))
@@ -762,6 +838,19 @@ Snapshotter::restoreLane(SectionReader &in,
             !getU32Vec(in, acct.base_order) || !in.getU32(acct.live_count) ||
             !in.getF64(acct.spend_usd) || !in.getU32(acct.quota_per_service))
             return bail("lane account table");
+        if (acct.id != i)
+            return corrupt("account record " + std::to_string(i) +
+                           " carries id " + std::to_string(acct.id));
+        // The base order is a permutation of the home shard.
+        if (acct.shard >= fleet.shardCount() ||
+            acct.base_order.size() != fleet.shardHosts(acct.shard).size() ||
+            !distinctMembers(acct.base_order, fleet_size,
+                             [&](hw::HostId h) {
+                                 return fleet.shardOf(h) == acct.shard;
+                             }))
+            return corrupt("account " + std::to_string(i) +
+                           " base order is not a permutation of its home "
+                           "shard");
         accounts.push_back(std::move(acct));
     }
 
@@ -779,10 +868,26 @@ Snapshotter::restoreLane(SectionReader &in,
             !getU32Vec(in, svc.helper_order) ||
             !getU32Vec(in, svc.spill_order) || !in.getU64(bursts))
             return bail("lane service table");
-        if (env > 1 || !sizeFromIndex(size, svc.size)) {
+        if (env > 1 || !sizeFromIndex(size, svc.size) || svc.id != i ||
+            svc.account >= accounts.size()) {
             error = "corrupt snapshot: bad service record";
             return false;
         }
+        // Both prefixes list distinct candidates of the account's
+        // shard (outside it, or inside under isolate_accounts), and
+        // the helper prefix holds at least what a pick reads first.
+        const std::uint32_t shard = accounts[svc.account].shard;
+        const auto candidate = [&](hw::HostId h) {
+            return (fleet.shardOf(h) == shard) == orch.cfg_.isolate_accounts;
+        };
+        if (!distinctMembers(svc.helper_order, fleet_size, candidate) ||
+            !distinctMembers(svc.spill_order, fleet_size, candidate))
+            return corrupt("service " + std::to_string(i) +
+                           " helper or spill prefix lists a host that is "
+                           "not a distinct candidate");
+        if (svc.helper_order.size() < orch.helperPrefixFloor(shard))
+            return corrupt("service " + std::to_string(i) +
+                           " helper prefix is shorter than a pick reads");
         svc.env = static_cast<faas::ExecEnv>(env);
         for (std::uint64_t b = 0; b < bursts; ++b) {
             std::int64_t when = 0;
@@ -863,7 +968,7 @@ Snapshotter::restoreLane(SectionReader &in,
         inst.state_since = sim::SimTime::fromNanos(ldI64(p + 35));
         if (has_term != 0)
             inst.terminated_at = sim::SimTime::fromNanos(ldI64(p + 60));
-        if (inst.host >= orch.host_load_.size() ||
+        if (inst.id != i || inst.host >= fleet_size ||
             inst.service >= services.size() ||
             inst.account >= accounts.size()) {
             error = "corrupt snapshot: instance record references out "
@@ -872,17 +977,30 @@ Snapshotter::restoreLane(SectionReader &in,
         }
         instances.push_back(std::move(inst));
     }
-
-    std::vector<double> load_vcpus, load_mem;
-    std::vector<std::uint32_t> load_touched;
-    if (!getF64Vec(in, load_vcpus) || !getF64Vec(in, load_mem) ||
-        !getU32Vec(in, load_touched))
-        return bail("lane host-load columns");
-    if (load_vcpus.size() != orch.host_load_.size() ||
-        load_mem.size() != orch.host_load_.size()) {
-        error = "corrupt snapshot: host-load column size mismatch";
-        return false;
+    for (const faas::ServiceRecord &svc : services) {
+        const auto listed = [&](const std::vector<faas::InstanceId> &ids,
+                                faas::InstanceState state) {
+            return std::all_of(ids.begin(), ids.end(), [&](auto id) {
+                return id < instances.size() &&
+                       instances[id].service == svc.id &&
+                       instances[id].state == state;
+            });
+        };
+        if (!listed(svc.active, faas::InstanceState::Active) ||
+            !listed(svc.idle, faas::InstanceState::Idle))
+            return corrupt("service " + std::to_string(svc.id) +
+                           " lists an instance that is not its own or "
+                           "not in that state");
     }
+
+    // Planted fault 5 strikes the first lane whose delta has entries.
+    const bool fault5 =
+        omit_one_vcpus_delta != nullptr && *omit_one_vcpus_delta;
+    support::HostLoadTable delta;
+    if (!getLoadTable(in, fleet_size, fault5, delta, error))
+        return false;
+    if (fault5 && delta.size() != 0)
+        *omit_one_vcpus_delta = false;
 
     if (!in.getU64(n))
         return bail("lane placement trace");
@@ -904,6 +1022,11 @@ Snapshotter::restoreLane(SectionReader &in,
         }
         ev.when = sim::SimTime::fromNanos(ldI64(p));
         ev.instance = ldLE(p + 8, 8);
+        if (ev.instance >= instances.size()) {
+            error = "corrupt snapshot: placement trace names an instance "
+                    "past the table";
+            return false;
+        }
         ev.service = ldU32(p + 16);
         ev.account = ldU32(p + 20);
         ev.host = ldU32(p + 24);
@@ -943,6 +1066,16 @@ Snapshotter::restoreLane(SectionReader &in,
         !getStringVec(in, spend) || !in.getU64(routed_count) ||
         !in.getF64(spend_checksum))
         return bail("lane log buffers");
+    const auto below = [](const auto &ids, std::size_t n) {
+        return std::all_of(ids.begin(), ids.end(),
+                           [n](auto id) { return id < n; });
+    };
+    if (!below(lane_accounts, accounts.size()) ||
+        !below(lane_services, services.size()) ||
+        !below(lane_created, instances.size()) ||
+        trace_scanned > trace_events.size())
+        return corrupt("lane account, service or created list out of "
+                       "range");
 
     std::uint64_t open_loop_count = 0;
     if (!in.getU64(open_loop_count))
@@ -989,14 +1122,7 @@ Snapshotter::restoreLane(SectionReader &in,
     orch.slo_ = std::move(slo);
     orch.routing_.resetForRestore(routing_next_seq);
     orch.rebuildDerivedState();
-
-    if (omit_one_vcpus_delta != nullptr && *omit_one_vcpus_delta &&
-        !load_touched.empty()) {
-        // Planted fault 5: drop this lane's vcpus delta column.
-        load_vcpus.assign(load_vcpus.size(), 0.0);
-        *omit_one_vcpus_delta = false;
-    }
-    orch.host_load_.restoreState(load_vcpus, load_mem, load_touched);
+    orch.host_load_ = std::move(delta);
 
     lane.eq.importImage(img, [&orch](std::uint32_t kind, std::uint64_t arg) {
         return orch.rebindEvent(kind, arg);
@@ -1166,6 +1292,56 @@ Snapshotter::restoreObs(SectionReader &in, obs::TrialSet &set,
 }
 
 bool
+Snapshotter::checkMaps(
+    const faas::ShardedPlatform &platform,
+    const std::vector<std::pair<std::uint32_t, faas::AccountId>> &acct_map,
+    const std::vector<std::pair<std::uint32_t, faas::ServiceId>> &svc_map,
+    std::string &error)
+{
+    const auto &lanes = platform.lanes_;
+    for (const auto &[lane, local] : acct_map) {
+        if (lane >= lanes.size() ||
+            local >= lanes[lane]->orch->accounts_.size()) {
+            error = "corrupt snapshot: account map points past its lane";
+            return false;
+        }
+    }
+    for (const auto &[lane, local] : svc_map) {
+        if (lane >= lanes.size() ||
+            local >= lanes[lane]->orch->services_.size()) {
+            error = "corrupt snapshot: service map points past its lane";
+            return false;
+        }
+    }
+    // Every op must resolve, through the maps, onto the lane that
+    // holds it (the partition beginRun made). A storm's spend polls
+    // read its account's local id on the storm's own lane.
+    for (std::uint32_t i = 0; i < lanes.size(); ++i) {
+        for (const ShardOp &op : lanes[i]->ops) {
+            const bool by_account = op.kind == ShardOp::Kind::SetQuota ||
+                                    op.kind == ShardOp::Kind::Restart ||
+                                    op.kind == ShardOp::Kind::SpendProbe;
+            const bool on_lane =
+                by_account ? op.account < acct_map.size() &&
+                                 acct_map[op.account].first == i
+                           : op.service < svc_map.size() &&
+                                 svc_map[op.service].first == i;
+            const bool storm_ok =
+                op.kind != ShardOp::Kind::RouteStorm ||
+                (op.account < acct_map.size() &&
+                 acct_map[op.account].second <
+                     lanes[i]->orch->accounts_.size());
+            if (!on_lane || !storm_ok) {
+                error = "corrupt snapshot: lane " + std::to_string(i) +
+                        " holds an op for another lane";
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+bool
 Snapshotter::restore(const std::vector<std::uint8_t> &image,
                      faas::ShardedPlatform &platform, std::string &error)
 {
@@ -1256,13 +1432,11 @@ Snapshotter::restore(const SnapshotReader &reader,
         return false;
     }
     SectionReader c(committed->data, committed->size);
-    std::vector<double> committed_vcpus, committed_mem;
-    if (!getF64Vec(c, committed_vcpus) || !getF64Vec(c, committed_mem) ||
-        !c.atEnd())
-        return bail("committed-load section");
-    if (committed_vcpus.size() != platform.committed_.size() ||
-        committed_mem.size() != platform.committed_.size()) {
-        error = "corrupt snapshot: committed-load size mismatch";
+    support::HostLoadTable committed_load;
+    if (!getLoadTable(c, fleet_size, false, committed_load, error))
+        return false;
+    if (!c.atEnd()) {
+        error = "corrupt snapshot: trailing bytes in committed-load section";
         return false;
     }
 
@@ -1279,7 +1453,7 @@ Snapshotter::restore(const SnapshotReader &reader,
         }
     }
     // Restore lanes in parallel (disjoint state). The fault-5 victim
-    // pick needs "first lane with a non-empty touch list" to be
+    // pick needs "first lane with a non-empty delta" to be
     // well-defined, so that mode stays serial; everywhere else the
     // shared omit flag is false and only ever read.
     const unsigned restore_threads =
@@ -1299,6 +1473,8 @@ Snapshotter::restore(const SnapshotReader &reader,
             return false;
         }
     }
+    if (!checkMaps(platform, acct_map, svc_map, error))
+        return false;
 
     if (has_obs != 0) {
         const SectionView *payload = reader.section(kSectionObs);
@@ -1311,7 +1487,7 @@ Snapshotter::restore(const SnapshotReader &reader,
             return false;
     }
 
-    platform.committed_.restoreState(committed_vcpus, committed_mem, {});
+    platform.committed_ = std::move(committed_load);
     platform.acct_map_ = std::move(acct_map);
     platform.svc_map_ = std::move(svc_map);
     platform.exchange_log_ = std::move(exchange_log);

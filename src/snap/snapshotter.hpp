@@ -93,12 +93,24 @@ class Snapshotter
     /**
      * @p omit_one_vcpus_delta non-null arms planted fault 5 (see
      * OrchestratorConfig::fault_injection): the first restored lane
-     * with a non-empty touch list gets its vcpus delta column dropped,
-     * after which the flag is cleared.
+     * with a non-empty capacity delta gets the vcpus values of its
+     * delta entries zeroed, after which the flag is cleared.
      */
     static bool restoreLane(SectionReader &in,
                             faas::ShardedPlatform::Lane &lane,
                             bool *omit_one_vcpus_delta, std::string &error);
+
+    /**
+     * Refuse account/service map entries that point past their lane's
+     * tables, and ops that do not resolve onto the lane holding them.
+     */
+    static bool checkMaps(
+        const faas::ShardedPlatform &platform,
+        const std::vector<std::pair<std::uint32_t, faas::AccountId>>
+            &acct_map,
+        const std::vector<std::pair<std::uint32_t, faas::ServiceId>>
+            &svc_map,
+        std::string &error);
 
     static void captureObs(const obs::TrialSet &set, SectionWriter &out);
     static bool restoreObs(SectionReader &in, obs::TrialSet &set,

@@ -10,10 +10,13 @@
  * common case, with loads updated incrementally as instances come and
  * go.
  *
- * Each leaf holds the key `(load << 32) | position`; internal nodes
- * hold the minimum key of their subtree. Because the position is the
- * low part of the key, the tree's minimum is exactly the *first*
- * position carrying the minimal load — the same host a
+ * The tree is a perfect binary tree over the positions padded to a
+ * power of two: leaf `size + i` holds position i's load, padding
+ * leaves hold an "infinite" load, and each internal node holds the
+ * minimum load of its subtree (4 bytes per node). Queries descend
+ * left-first, so leaves are reached in position order and a later
+ * leaf can only win with a strictly smaller load: the tree's answer is
+ * exactly the *first* position carrying the minimal load, the host a
  * first-strict-improvement linear scan selects, which is what keeps
  * indexed placement equal to testkit's brute-force reference.
  */
@@ -21,6 +24,8 @@
 #ifndef EAAO_SUPPORT_MIN_LOAD_TREE_HPP
 #define EAAO_SUPPORT_MIN_LOAD_TREE_HPP
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,19 +43,38 @@ class MinLoadTree
     void
     assign(const std::vector<std::uint32_t> &loads)
     {
-        n_ = loads.size();
-        tree_.assign(n_ == 0 ? 0 : 4 * n_, kInf);
-        if (n_ > 0)
-            build(0, 0, n_, loads);
+        assign(loads.size(), [&](std::size_t i) { return loads[i]; });
+    }
+
+    /** Rebuild over @p n positions, position i getting load_at(i). */
+    template <typename LoadAt>
+    void
+    assign(std::size_t n, LoadAt &&load_at)
+    {
+        n_ = n;
+        size_ = 1;
+        while (size_ < n_)
+            size_ *= 2;
+        tree_.assign(n_ == 0 ? 0 : 2 * size_, kInf);
+        for (std::size_t i = 0; i < n_; ++i)
+            tree_[size_ + i] = load_at(i);
+        for (std::size_t node = size_ - 1; node >= 1 && n_ > 0; --node)
+            tree_[node] = std::min(tree_[2 * node], tree_[2 * node + 1]);
     }
 
     std::size_t size() const { return n_; }
+
+    /** The load at position @p pos. */
+    std::uint32_t load(std::size_t pos) const { return tree_[size_ + pos]; }
 
     /** Set position @p pos to @p load; O(log n). */
     void
     update(std::size_t pos, std::uint32_t load)
     {
-        updateNode(0, 0, n_, pos, key(load, pos));
+        std::size_t node = size_ + pos;
+        tree_[node] = load;
+        for (node /= 2; node >= 1; node /= 2)
+            tree_[node] = std::min(tree_[2 * node], tree_[2 * node + 1]);
     }
 
     /**
@@ -68,77 +92,47 @@ class MinLoadTree
             return std::nullopt;
         if (prefix > n_)
             prefix = n_;
-        std::uint64_t best = kInf;
-        query(0, 0, n_, prefix, best, accept);
+        std::uint32_t best = kInf;
+        std::size_t best_pos = 0;
+        query(1, 0, size_, prefix, best, best_pos, accept);
         if (best == kInf)
             return std::nullopt;
-        return static_cast<std::size_t>(best & 0xffffffffULL);
+        return best_pos;
     }
 
   private:
-    static constexpr std::uint64_t kInf = ~0ULL;
-
-    static std::uint64_t
-    key(std::uint32_t load, std::size_t pos)
-    {
-        return (static_cast<std::uint64_t>(load) << 32) |
-               static_cast<std::uint64_t>(pos);
-    }
-
-    void
-    build(std::size_t node, std::size_t l, std::size_t r,
-          const std::vector<std::uint32_t> &loads)
-    {
-        if (r - l == 1) {
-            tree_[node] = key(loads[l], l);
-            return;
-        }
-        const std::size_t mid = l + (r - l) / 2;
-        build(2 * node + 1, l, mid, loads);
-        build(2 * node + 2, mid, r, loads);
-        tree_[node] = std::min(tree_[2 * node + 1], tree_[2 * node + 2]);
-    }
-
-    void
-    updateNode(std::size_t node, std::size_t l, std::size_t r,
-               std::size_t pos, std::uint64_t k)
-    {
-        if (r - l == 1) {
-            tree_[node] = k;
-            return;
-        }
-        const std::size_t mid = l + (r - l) / 2;
-        if (pos < mid)
-            updateNode(2 * node + 1, l, mid, pos, k);
-        else
-            updateNode(2 * node + 2, mid, r, pos, k);
-        tree_[node] = std::min(tree_[2 * node + 1], tree_[2 * node + 2]);
-    }
+    /** Padding load; no live-instance count reaches it. */
+    static constexpr std::uint32_t kInf = ~0u;
 
     /**
-     * Left-first descent pruned by the best accepted key so far. A
-     * subtree whose minimum cannot beat the current best — or that
-     * lies wholly beyond the prefix — is never entered.
+     * Left-first descent pruned by the best accepted load so far. A
+     * subtree that lies wholly beyond the prefix, or whose minimum
+     * cannot beat the current best (its positions all come later, so
+     * a tie loses), is never entered.
      */
     template <typename Accept>
     void
     query(std::size_t node, std::size_t l, std::size_t r,
-          std::size_t prefix, std::uint64_t &best, Accept &accept) const
+          std::size_t prefix, std::uint32_t &best, std::size_t &best_pos,
+          Accept &accept) const
     {
         if (l >= prefix || tree_[node] >= best)
             return;
         if (r - l == 1) {
-            if (accept(l))
+            if (accept(l)) {
                 best = tree_[node];
+                best_pos = l;
+            }
             return;
         }
         const std::size_t mid = l + (r - l) / 2;
-        query(2 * node + 1, l, mid, prefix, best, accept);
-        query(2 * node + 2, mid, r, prefix, best, accept);
+        query(2 * node, l, mid, prefix, best, best_pos, accept);
+        query(2 * node + 1, mid, r, prefix, best, best_pos, accept);
     }
 
     std::size_t n_ = 0;
-    std::vector<std::uint64_t> tree_;
+    std::size_t size_ = 1;             //!< leaves, a power of two >= n_
+    std::vector<std::uint32_t> tree_;  //!< node 1 is the root
 };
 
 } // namespace eaao::support

@@ -263,7 +263,7 @@ checkShards(const Scenario &sc, const InvariantOptions &opts,
  * since lane grouping is excluded from the snapshot's config
  * fingerprint. Log, merged metrics JSON, and Chrome trace JSON must
  * all match the baseline byte-for-byte. Catches planted fault 5 (the
- * restore path drops one lane's vcpus delta column).
+ * restore path zeroes the vcpus values of one lane's delta).
  */
 void
 checkSnapshot(const Scenario &sc, const InvariantOptions &opts,

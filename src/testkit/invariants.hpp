@@ -5,8 +5,9 @@
  * Each oracle compares two executions that the codebase promises are
  * equivalent, or checks a decision or conservation law inside one:
  *
- *  - reference: every route target, cold-base placement and spend
- *    probe the serial runner drives must equal its brute-force
+ *  - reference: every route target, placement (cold-base, hot-helper,
+ *    cold-overflow, cold-spill) and spend probe the serial runner
+ *    drives must equal its brute-force
  *    recomputation from the orchestrator's records
  *    (testkit/reference.hpp), checked inside the primary run. This is
  *    the oracle that catches the indexed decision paths' planted

@@ -1,8 +1,8 @@
 /**
  * @file
- * Brute-force references for the orchestrator's three indexed
- * decisions, recomputed from its public records only (see
- * docs/performance.md for the invariants each index must keep):
+ * Brute-force references for the orchestrator's indexed decisions,
+ * recomputed from its public records only (see docs/performance.md
+ * for the invariants each index must keep):
  *
  *  - route: the first Active instance, in active-list order, with the
  *    lowest in_flight below the concurrency limit; else the most
@@ -10,9 +10,20 @@
  *  - cold-base host: the first host of the account's demand-sized base
  *    prefix with room and the fewest instances of the account, the
  *    prefix doubling until a host fits;
+ *  - helper host (hot placements and cold overflow): the first host,
+ *    scanning the demand-sized base prefix and then the
+ *    hotness-sized prefix of the service's full helper order, with
+ *    room and the fewest instances of the service, the helper prefix
+ *    doubling until a host fits;
+ *  - spill host: the same scan over the live-sized prefix of the
+ *    service's full spill order;
  *  - spend: settled spend plus the running bill of every Active
  *    instance of the account, summed over the instance table in id
  *    order (bit-exact).
+ *
+ * The helper and spill references rebuild the *full* orders from the
+ * service's seed, so they also check that the prefix the orchestrator
+ * keeps is the front of the order it stands for.
  */
 
 #ifndef EAAO_TESTKIT_REFERENCE_HPP
@@ -43,6 +54,32 @@ faas::InstanceId referenceWarmTarget(const faas::Platform &platform,
 std::optional<hw::HostId> referenceBaseHost(const faas::Platform &platform,
                                             faas::InstanceId created);
 
+/**
+ * The host a HotHelper (or, with @p hotness 1, a ColdOverflow)
+ * placement of @p created had to pick, at the service hotness read
+ * before the call that created it. Same calling rule as
+ * referenceBaseHost.
+ */
+std::optional<hw::HostId> referenceHelperHost(const faas::Platform &platform,
+                                              faas::InstanceId created,
+                                              std::uint32_t hotness);
+
+/** The host a ColdSpill placement of @p created had to pick. */
+std::optional<hw::HostId> referenceSpillHost(const faas::Platform &platform,
+                                             faas::InstanceId created);
+
+/** A service's full helper order, rebuilt from its seed. */
+std::vector<hw::HostId> referenceHelperOrder(const faas::Platform &platform,
+                                             faas::ServiceId service);
+
+/** A service's full spill order, rebuilt from its seed. */
+std::vector<hw::HostId> referenceSpillOrder(const faas::Platform &platform,
+                                            faas::ServiceId service);
+
+/** A service's hotness level right now, from its burst record. */
+std::uint32_t referenceHotness(const faas::Platform &platform,
+                               faas::ServiceId service);
+
 /** accountSpendUsd as a full instance-table sum. */
 double referenceSpendUsd(const faas::Platform &platform,
                          faas::AccountId account);
@@ -51,7 +88,7 @@ double referenceSpendUsd(const faas::Platform &platform,
  * Makes a driver's decision calls and checks each against the
  * references, keeping the first mismatch (labelled by @p where).
  * @p trace must be attached to the orchestrator: its reasons say which
- * creations were cold-base.
+ * placement path each creation took.
  */
 class ReferenceAudit
 {
@@ -73,8 +110,12 @@ class ReferenceAudit
     const std::string &mismatch() const { return mismatch_; }
 
   private:
-    /** Check the cold-base placements traced since @p trace_mark. */
-    void checkCreations(std::size_t trace_mark, std::string_view where);
+    /**
+     * Check the placements traced since @p trace_mark, made at service
+     * hotness @p hotness.
+     */
+    void checkCreations(std::size_t trace_mark, std::uint32_t hotness,
+                        std::string_view where);
     void fail(std::string_view where, const std::string &what);
 
     faas::Platform &platform_;

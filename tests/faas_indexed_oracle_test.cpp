@@ -4,8 +4,9 @@
  * indexes must make exactly the decisions their brute-force
  * definitions (testkit/reference.hpp) make, not just statistically
  * similar ones. A randomized multi-service workload runs once under a
- * testkit::ReferenceAudit, which checks every routed request, cold-base
- * placement and spend poll as it happens. Spend is compared
+ * testkit::ReferenceAudit, which checks every routed request, every
+ * placement (cold-base, hot-helper, cold-overflow, cold-spill) and
+ * every spend poll as it happens. Spend is compared
  * bit-exactly, which is stronger than the "agree to the cent" contract
  * the experiments rely on.
  */
@@ -196,6 +197,60 @@ TEST(IndexedOracle, DynamicPlacementProfileMatchesReferenceScan)
     const AuditedRun run = runWorkload(script, cfg);
     EXPECT_EQ(run.mismatch, "");
     EXPECT_GT(run.cold_base, 0u);
+}
+
+TEST(IndexedOracle, HelperAndSpillPicksMatchReferenceScans)
+{
+    // Two services of one account take turns: each launch re-jitters
+    // the account's base order, and then the *other* service, hot from
+    // its own earlier bursts, takes more requests than it has idle
+    // instances and places the rest (helper picks over the fresh base
+    // order). us-central1 also leaks cold placements (spill picks).
+    for (const bool dynamic : {false, true}) {
+        for (const bool isolate : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "dynamic " << dynamic
+                                            << " isolate " << isolate);
+            faas::PlatformConfig cfg;
+            cfg.profile = dynamic ? faas::DataCenterProfile::usCentral1()
+                                  : faas::DataCenterProfile::usEast1();
+            cfg.seed = 31337;
+            cfg.orchestrator.isolate_accounts = isolate;
+            faas::Platform platform(cfg);
+            faas::PlacementTrace trace;
+            platform.orchestrator().attachTrace(&trace);
+            testkit::ReferenceAudit audit(platform, trace);
+
+            const auto acct = platform.createAccount(3);
+            const faas::ServiceId svcs[2] = {
+                platform.deployService(acct, faas::ExecEnv::Gen1),
+                platform.deployService(acct, faas::ExecEnv::Gen1)};
+            for (int launch = 0; launch < 4; ++launch) {
+                for (int s = 0; s < 2; ++s) {
+                    const std::string where = "launch " +
+                                              std::to_string(launch) + "." +
+                                              std::to_string(s);
+                    audit.connect(svcs[s], 120 + 40 * (launch % 3), where);
+                    platform.advance(sim::Duration::minutes(2));
+                    for (int r = 0; r < 220; ++r)
+                        audit.route(svcs[1 - s], sim::Duration::minutes(3),
+                                    where);
+                    platform.disconnectAll(svcs[s]);
+                }
+            }
+            const auto ids = audit.connect(svcs[0], 50, "final connect");
+            audit.restart(ids.front(), "restart");
+            platform.orchestrator().attachTrace(nullptr);
+
+            EXPECT_EQ(audit.mismatch(), "");
+            EXPECT_GT(trace.countByReason(faas::PlacementReason::HotHelper),
+                      0u);
+            if (dynamic) {
+                EXPECT_GT(
+                    trace.countByReason(faas::PlacementReason::ColdSpill),
+                    0u);
+            }
+        }
+    }
 }
 
 /**

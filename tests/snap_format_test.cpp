@@ -197,13 +197,14 @@ TEST(SnapFormat, RejectsNewerFormatVersion)
     EXPECT_NE(error.find("version 0"), std::string::npos) << error;
 
     // Every older layout would misparse, so each is refused up front;
-    // v3 (lane queues still carrying timing-wheel state) is the newest.
-    EXPECT_EQ(kFormatVersion, 4u);
+    // v4 (dense host-load columns, full helper and spill orders) is the
+    // newest.
+    EXPECT_EQ(kFormatVersion, 5u);
     for (std::uint32_t v = 1; v < kFormatVersion; ++v) {
         image[8] = static_cast<std::uint8_t>(v);
         EXPECT_FALSE(r.parse(image, error));
         EXPECT_NE(error.find("format v" + std::to_string(v) +
-                             " is older than this binary reads (v4)"),
+                             " is older than this binary reads (v5)"),
                   std::string::npos)
             << error;
     }
