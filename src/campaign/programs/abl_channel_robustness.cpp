@@ -5,6 +5,10 @@
  * contention, per-unit detection probability, trial count — and the
  * table reports clustering accuracy and the test count (noise pushes
  * groups onto the pairwise fallback path).
+ *
+ * Each arm builds its own Platform, so the arms run as independent
+ * trials on the parallel harness; the rows print in file order,
+ * identical for any --threads value.
  */
 
 #include <cstdio>
@@ -17,6 +21,7 @@
 #include "core/report.hpp"
 #include "core/strategy.hpp"
 #include "core/verify.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
 #include "stats/clustering.hpp"
 
@@ -50,47 +55,50 @@ EAAO_CAMPAIGN_PROGRAM(abl_channel_robustness)
                       "<background_prob> <unit_detect_prob>");
         Row row;
         row.label = line->tokens[1];
-        row.chan.trials = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[2]));
-        row.chan.detect_min = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[3]));
-        row.chan.background_prob = std::stod(line->tokens[4]);
-        row.chan.unit_detect_prob = std::stod(line->tokens[5]);
+        row.chan.trials = spec.u32At(*line, 2);
+        row.chan.detect_min = spec.u32At(*line, 3);
+        row.chan.background_prob = spec.numAt(*line, 4);
+        row.chan.unit_detect_prob = spec.numAt(*line, 5);
         rows.push_back(row);
     }
+
+    const std::vector<std::vector<std::string>> cells = exp::runTrials(
+        rows.size(), seed,
+        [&](exp::TrialContext &trial) {
+            const Row &row = rows[trial.index];
+            faas::PlatformConfig cfg;
+            cfg.profile = profile;
+            cfg.seed = seed + trial.index;
+            faas::Platform p(cfg);
+            const auto acct = p.createAccount();
+            const auto svc = p.deployService(acct, faas::ExecEnv::Gen1);
+            core::LaunchOptions launch;
+            launch.instances = instances;
+            launch.disconnect_after = false;
+            const auto obs = core::launchAndObserve(p, svc, launch);
+
+            channel::RngChannel chan(p, row.chan);
+            const auto result = core::verifyScalable(
+                p, chan, obs.ids, obs.fp_keys, obs.class_keys);
+
+            std::vector<std::uint64_t> oracle;
+            for (const auto id : obs.ids)
+                oracle.push_back(p.oracleHostOf(id));
+            const auto pc = stats::comparePairs(result.cluster_of, oracle);
+
+            return std::vector<std::string>{
+                row.label,
+                core::format("%llu", static_cast<unsigned long long>(
+                                         result.group_tests)),
+                core::format("%.4f", pc.precision()),
+                core::format("%.4f", pc.recall()), result.elapsed.str()};
+        },
+        ctx.threads);
 
     core::TextTable table;
     table.header({"channel", "tests", "precision", "recall",
                   "test time"});
-
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        faas::PlatformConfig cfg;
-        cfg.profile = profile;
-        cfg.seed = seed + r;
-        faas::Platform p(cfg);
-        const auto acct = p.createAccount();
-        const auto svc = p.deployService(acct, faas::ExecEnv::Gen1);
-        core::LaunchOptions launch;
-        launch.instances = instances;
-        launch.disconnect_after = false;
-        const auto obs = core::launchAndObserve(p, svc, launch);
-
-        channel::RngChannel chan(p, rows[r].chan);
-        const auto result = core::verifyScalable(
-            p, chan, obs.ids, obs.fp_keys, obs.class_keys);
-
-        std::vector<std::uint64_t> oracle;
-        for (const auto id : obs.ids)
-            oracle.push_back(p.oracleHostOf(id));
-        const auto pc = stats::comparePairs(result.cluster_of, oracle);
-
-        table.row({rows[r].label,
-                   core::format("%llu",
-                                static_cast<unsigned long long>(
-                                    result.group_tests)),
-                   core::format("%.4f", pc.precision()),
-                   core::format("%.4f", pc.recall()),
-                   result.elapsed.str()});
-    }
+    for (const std::vector<std::string> &row : cells)
+        table.row(row);
     table.print();
 }

@@ -5,6 +5,10 @@
  * window. Every episode stays under the burst threshold, at the price
  * of stretching a one-minute verification into tens of minutes of
  * billed instance time. Plans come from `plan` directives in [attack].
+ *
+ * Each plan builds its own Platform, so the plans run as independent
+ * trials on the parallel harness; the rows print in file order,
+ * identical for any --threads value.
  */
 
 #include <algorithm>
@@ -19,6 +23,7 @@
 #include "core/report.hpp"
 #include "core/strategy.hpp"
 #include "defense/detector.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
 #include "stats/clustering.hpp"
 
@@ -152,20 +157,26 @@ EAAO_CAMPAIGN_PROGRAM(abl_detection_evasion)
                       "<trials_per_episode> <gap_minutes>");
         Plan plan;
         plan.label = line->tokens[1];
-        plan.episodes = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[2]));
-        plan.trials_per_episode = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[3]));
-        plan.episode_gap =
-            sim::Duration::minutes(std::stoll(line->tokens[4]));
+        plan.episodes = spec.u32At(*line, 2);
+        plan.trials_per_episode = spec.u32At(*line, 3);
+        plan.episode_gap = sim::Duration::minutes(
+            spec.u32At(*line, 4, campaign::kMaxMinutes));
         plans.push_back(plan);
     }
+
+    const std::vector<Outcome> outcomes = exp::runTrials(
+        plans.size(), seed,
+        [&](exp::TrialContext &trial) {
+            return run(profile, plans[trial.index], instances,
+                       seed + trial.index);
+        },
+        ctx.threads);
 
     core::TextTable table;
     table.header({"plan", "hosts flagged (max)", "wall time",
                   "cost (USD)", "pair errors"});
     for (std::size_t r = 0; r < plans.size(); ++r) {
-        const Outcome out = run(profile, plans[r], instances, seed + r);
+        const Outcome &out = outcomes[r];
         table.row({plans[r].label, core::format("%zu", out.flagged),
                    out.elapsed.str(),
                    core::format("%.2f", out.cost_usd),

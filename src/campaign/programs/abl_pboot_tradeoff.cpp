@@ -4,6 +4,8 @@
  * and fingerprint lifetime (expiration ~ p_boot * f / eps, §4.4.2).
  * Sweeps p_boot over one launch plus a multi-hour tracking window and
  * reports both sides of the trade.
+ *
+ * Stays serial: every p_boot point rereads one platform's launch.
  */
 
 #include <cstdio>

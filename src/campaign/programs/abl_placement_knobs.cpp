@@ -4,31 +4,33 @@
  * helper chunk size (how aggressively the load balancer spreads a hot
  * service) and the demand-window length — and their effect on the
  * attack surface. Sweeps come from the campaign's [workload] section.
+ *
+ * Each sweep point builds its own Platform, so the points run as
+ * independent trials on the parallel harness; the rows print in sweep
+ * order, identical for any --threads value.
  */
 
 #include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "campaign/programs/common.hpp"
 #include "campaign/runner.hpp"
 #include "core/report.hpp"
 #include "core/strategy.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
 
 namespace {
 
 using namespace eaao;
 
-struct Outcome
-{
-    std::size_t primed_footprint; //!< hosts after priming one service
-    double occupancy;             //!< full campaign, fraction of fleet
-    double coverage;              //!< victim coverage
-};
+/** One sweep point's table row, led by its knob value. */
+using Cells = std::vector<std::string>;
 
-Outcome
-evaluate(const faas::DataCenterProfile &profile,
+Cells
+evaluate(std::uint32_t knob, const faas::DataCenterProfile &profile,
          const faas::OrchestratorConfig &orch, std::uint64_t seed,
          std::uint32_t victim_count)
 {
@@ -61,12 +63,11 @@ evaluate(const faas::DataCenterProfile &profile,
     const auto cov =
         core::measureCoverageOracle(p, attack.occupied_hosts, vids);
 
-    Outcome out;
-    out.primed_footprint = footprint.size();
-    out.occupancy = static_cast<double>(attack.occupied_hosts.size()) /
-                    static_cast<double>(p.fleet().size());
-    out.coverage = cov.coverage();
-    return out;
+    const double occupancy =
+        static_cast<double>(attack.occupied_hosts.size()) /
+        static_cast<double>(p.fleet().size());
+    return {core::format("%u", knob), core::format("%zu", footprint.size()),
+            core::percent(occupancy), core::percent(cov.coverage())};
 }
 
 } // namespace
@@ -83,47 +84,48 @@ EAAO_CAMPAIGN_PROGRAM(abl_placement_knobs)
         spec.u64("platform", "window_seed");
     const std::uint32_t victim_count =
         spec.u32("verify", "victim_instances");
+    const std::vector<std::uint32_t> chunks =
+        spec.u32List("workload", "chunk_sweep");
+    const std::vector<std::uint32_t> windows =
+        spec.u32List("workload", "window_sweep", campaign::kMaxMinutes);
 
-    // ---- Helper chunk sweep. ----
+    // Trial i < chunks.size() is chunk point i; the window points
+    // follow. Each point keeps its seed: base + knob value.
+    const std::vector<Cells> rows = exp::runTrials(
+        chunks.size() + windows.size(), chunk_seed,
+        [&](exp::TrialContext &trial) {
+            if (trial.index < chunks.size()) {
+                const std::uint32_t chunk = chunks[trial.index];
+                faas::DataCenterProfile profile = base_profile;
+                profile.helper_chunk = chunk;
+                return evaluate(chunk, profile, faas::OrchestratorConfig{},
+                                chunk_seed + chunk, victim_count);
+            }
+            const std::uint32_t window_min =
+                windows[trial.index - chunks.size()];
+            faas::OrchestratorConfig orch;
+            orch.demand_window = sim::Duration::minutes(window_min);
+            return evaluate(window_min, base_profile, orch,
+                            window_seed + window_min, victim_count);
+        },
+        ctx.threads);
+
+    const auto print = [&](const char *knob, std::size_t first,
+                           std::size_t count) {
+        core::TextTable table;
+        table.header({knob, "primed footprint", "occupancy",
+                      "victim coverage"});
+        for (std::size_t i = first; i < first + count; ++i)
+            table.row(rows[i]);
+        table.print();
+    };
+
     std::printf("-- helper chunk (hosts added per hot launch) --\n");
-    core::TextTable chunk_table;
-    chunk_table.header({"helper_chunk", "primed footprint", "occupancy",
-                        "victim coverage"});
-    for (const double chunk_val :
-         spec.numList("workload", "chunk_sweep")) {
-        const auto chunk = static_cast<std::uint32_t>(chunk_val);
-        faas::DataCenterProfile profile = base_profile;
-        profile.helper_chunk = chunk;
-        const Outcome out =
-            evaluate(profile, faas::OrchestratorConfig{},
-                     chunk_seed + chunk, victim_count);
-        chunk_table.row({core::format("%u", chunk),
-                         core::format("%zu", out.primed_footprint),
-                         core::percent(out.occupancy),
-                         core::percent(out.coverage)});
-    }
-    chunk_table.print();
+    print("helper_chunk", 0, chunks.size());
     std::printf("\nchunk 0 disables the load balancer entirely: the "
                 "optimized strategy\ndegenerates to the naive one "
                 "(base hosts only, low cross-account coverage).\n\n");
 
-    // ---- Demand window sweep. ----
     std::printf("-- demand window (hotness memory) --\n");
-    core::TextTable window_table;
-    window_table.header({"window (min)", "primed footprint",
-                         "occupancy", "victim coverage"});
-    for (const double window_val :
-         spec.numList("workload", "window_sweep")) {
-        const int window_min = static_cast<int>(window_val);
-        faas::OrchestratorConfig orch;
-        orch.demand_window = sim::Duration::minutes(window_min);
-        const Outcome out = evaluate(base_profile, orch,
-                                     window_seed + window_min,
-                                     victim_count);
-        window_table.row({core::format("%d", window_min),
-                          core::format("%zu", out.primed_footprint),
-                          core::percent(out.occupancy),
-                          core::percent(out.coverage)});
-    }
-    window_table.print();
+    print("window (min)", chunks.size(), windows.size());
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Profile-name resolution for campaign programs.
+ * Profile-name and home-shard resolution for campaign programs.
  */
 
 #include "campaign/programs/common.hpp"
@@ -41,6 +41,21 @@ profileOf(const CampaignSpec &spec, const std::string &section,
     const std::string name = spec.str(section, key);
     const SpecLine *line = spec.file().section(section)->find(key);
     return profileByName(spec, name, line->line_no);
+}
+
+std::uint32_t
+homeShard(const CampaignSpec &spec, const SpecLine &line, std::size_t index,
+          const faas::DataCenterProfile &profile)
+{
+    const std::uint32_t shard = spec.u32At(line, index);
+    const std::uint32_t shards = profile.shardCount();
+    if (shard >= shards) {
+        spec.fail(line.line_no, "home shard " + std::to_string(shard) +
+                                    " is out of range: " + profile.name +
+                                    " has shards 0.." +
+                                    std::to_string(shards - 1));
+    }
+    return shard;
 }
 
 } // namespace eaao::campaign

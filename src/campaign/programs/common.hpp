@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the ported campaign programs: resolving
- * data-center profile names from spec files.
+ * data-center profile names and home-shard tokens from spec files.
  */
 
 #ifndef EAAO_CAMPAIGN_PROGRAMS_COMMON_HPP
@@ -10,10 +10,17 @@
 #include "campaign/spec.hpp"
 #include "faas/fleet.hpp"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace eaao::campaign {
+
+/**
+ * Largest minute count a program takes from a token (a year), so a
+ * minute token times 60e9 ns stays far inside a Duration.
+ */
+inline constexpr std::uint32_t kMaxMinutes = 365 * 24 * 60;
 
 /**
  * The paper-calibrated preset named @p name (us-east1 / us-central1 /
@@ -32,6 +39,15 @@ profileList(const CampaignSpec &spec, const std::string &section,
 faas::DataCenterProfile profileOf(const CampaignSpec &spec,
                                   const std::string &section,
                                   const std::string &key);
+
+/**
+ * Token @p index of @p line as a home shard of @p profile. Throws
+ * SpecError at the line unless it is below the profile's shard count,
+ * so a bad shard fails before any platform is built.
+ */
+std::uint32_t homeShard(const CampaignSpec &spec, const SpecLine &line,
+                        std::size_t index,
+                        const faas::DataCenterProfile &profile);
 
 } // namespace eaao::campaign
 

@@ -6,6 +6,8 @@
  * instances — each landing on hosts the attacker already holds. The
  * steady-load and flood shapes come from the campaign's [workload] and
  * [attack] sections.
+ *
+ * Stays serial: the priming and the flood share one platform.
  */
 
 #include <cstdio>

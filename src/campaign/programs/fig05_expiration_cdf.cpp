@@ -7,6 +7,10 @@
  * time to cross a p_boot rounding boundary. The closing average is
  * computed from the run, so it stays in this kernel; every knob comes
  * from bench/campaigns/fig05_expiration_cdf.scenario.
+ *
+ * Each data center is an independent trial with its own Platform on
+ * the parallel harness; the columns print in profile order, identical
+ * for any --threads value.
  */
 
 #include <cmath>
@@ -19,6 +23,7 @@
 #include "core/fingerprint.hpp"
 #include "core/report.hpp"
 #include "core/tracker.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
 #include "sim/rng.hpp"
 #include "stats/cdf.hpp"
@@ -131,9 +136,13 @@ EAAO_CAMPAIGN_PROGRAM(fig05_expiration_cdf)
     const std::vector<faas::DataCenterProfile> dcs =
         campaign::profileList(spec, "platform", "profiles");
 
-    std::vector<DcResult> results;
-    for (std::size_t d = 0; d < dcs.size(); ++d)
-        results.push_back(runDataCenter(dcs[d], seed + d, knobs));
+    const std::vector<DcResult> results = exp::runTrials(
+        dcs.size(), seed,
+        [&](exp::TrialContext &trial) {
+            return runDataCenter(dcs[trial.index], seed + trial.index,
+                                 knobs);
+        },
+        ctx.threads);
 
     core::TextTable table;
     table.header({"days", results[0].name, results[1].name,

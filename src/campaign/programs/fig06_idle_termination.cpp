@@ -5,6 +5,8 @@
  * Launch the configured burst, record the host footprint, disconnect,
  * and sample surviving idle instances over time. Knobs come from
  * bench/campaigns/fig06_idle_termination.scenario.
+ *
+ * Stays serial: every step samples the same platform's one burst.
  */
 
 #include <cstdio>

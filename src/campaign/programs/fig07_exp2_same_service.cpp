@@ -4,6 +4,8 @@
  * cold launches of the same service (paper §5.1). Each `variant` line
  * in the campaign's [workload] section runs the launch/cool-down loop
  * either reusing one service or deploying a fresh one per launch.
+ *
+ * Stays serial: every variant launches on one shared platform.
  */
 
 #include <cstdio>

@@ -4,10 +4,13 @@
  * accounts (paper §5.1). Accounts (with home shards) come from the
  * campaign's [tenants] section; the launch schedule — which account
  * fires each cold launch — from [workload] schedule.
+ *
+ * Stays serial: every launch lands on one shared platform.
  */
 
 #include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "campaign/programs/common.hpp"
@@ -31,28 +34,39 @@ EAAO_CAMPAIGN_PROGRAM(fig08_exp3_accounts)
     cfg.profile = campaign::profileOf(spec, "platform", "profile");
     cfg.seed = spec.u64("platform", "seed");
     cfg.obs = obs_set.observer(0);
-    faas::Platform platform(cfg);
 
     // account <shard> — one standard account per line, one Gen 1
     // service each.
-    std::vector<faas::AccountId> accounts;
+    std::vector<std::uint32_t> shards;
     for (const campaign::SpecLine *line :
          spec.directives("tenants", "account")) {
         if (line->tokens.size() != 2)
             spec.fail(line->line_no, "expected: account <shard>");
-        accounts.push_back(platform.createAccount(
-            static_cast<std::uint32_t>(std::stoul(line->tokens[1]))));
+        shards.push_back(campaign::homeShard(spec, *line, 1, cfg.profile));
     }
+    // Each launch names its account by [tenants] index.
+    const std::vector<std::uint32_t> schedule =
+        spec.u32List("workload", "schedule");
+    for (const std::uint32_t a : schedule) {
+        if (a >= shards.size())
+            spec.fail(spec.file().section("workload")->find("schedule")
+                          ->line_no,
+                      "schedule names account " + std::to_string(a) +
+                          " (0-based), but [tenants] declares " +
+                          std::to_string(shards.size()));
+    }
+    const int interval_min =
+        static_cast<int>(spec.u32("workload", "interval_minutes"));
+
+    faas::Platform platform(cfg);
+    std::vector<faas::AccountId> accounts;
+    for (const std::uint32_t shard : shards)
+        accounts.push_back(platform.createAccount(shard));
     std::vector<faas::ServiceId> services;
     for (const auto acct : accounts) {
         services.push_back(
             platform.deployService(acct, faas::ExecEnv::Gen1));
     }
-
-    const std::vector<double> schedule =
-        spec.numList("workload", "schedule");
-    const int interval_min =
-        static_cast<int>(spec.u32("workload", "interval_minutes"));
 
     core::TextTable table;
     table.header({"launch", "account", "apparent hosts", "cumulative"});

@@ -4,6 +4,8 @@
  * of different services overlap but differ (paper §5.1). Each episode
  * deploys a fresh service and primes it; the helper footprint is the
  * difference between the full and base-launch footprints.
+ *
+ * Stays serial: every episode primes on one shared platform.
  */
 
 #include <cstdio>

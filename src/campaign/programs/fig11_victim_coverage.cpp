@@ -93,8 +93,8 @@ EAAO_CAMPAIGN_PROGRAM(fig11_victim_coverage)
         dc.profile = campaign::profileByName(spec, line->tokens[1],
                                              line->line_no);
         for (int s = 0; s < 3; ++s)
-            dc.shards[s] = static_cast<std::uint32_t>(
-                std::stoul(line->tokens[2 + s]));
+            dc.shards[s] =
+                campaign::homeShard(spec, *line, 2 + s, dc.profile);
         dcs.push_back(dc);
     }
 
@@ -107,8 +107,7 @@ EAAO_CAMPAIGN_PROGRAM(fig11_victim_coverage)
                       "expected: sweep <a|b> <label> <count> <size>");
         SweepPoint point;
         point.label = line->tokens[2];
-        point.count = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[3]));
+        point.count = spec.u32At(*line, 3);
         point.size = sizeByName(spec, line->tokens[4], line->line_no);
         if (line->tokens[1] == "a")
             count_sweep.push_back(point);

@@ -4,6 +4,10 @@
  * Run-style cluster by exploring hosts with the optimized strategy
  * (paper §5.2). The cumulative number of unique apparent hosts
  * flattens out, so its final value estimates the cluster size.
+ *
+ * Each data center is an independent trial with its own Platform on
+ * the parallel harness; the columns print in profile order, identical
+ * for any --threads value.
  */
 
 #include <cstdio>
@@ -13,6 +17,7 @@
 #include "campaign/runner.hpp"
 #include "core/report.hpp"
 #include "core/strategy.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
 
 EAAO_CAMPAIGN_PROGRAM(fig12_cluster_size)
@@ -31,23 +36,25 @@ EAAO_CAMPAIGN_PROGRAM(fig12_cluster_size)
     const std::size_t total_launches = static_cast<std::size_t>(
         accounts_per_dc * services * launches_per_service);
 
-    std::vector<core::ExplorationResult> results;
-    for (std::size_t d = 0; d < dcs.size(); ++d) {
-        faas::PlatformConfig cfg;
-        cfg.profile = dcs[d];
-        cfg.seed = seed + d;
-        faas::Platform platform(cfg);
+    const std::vector<core::ExplorationResult> results = exp::runTrials(
+        dcs.size(), seed,
+        [&](exp::TrialContext &trial) {
+            faas::PlatformConfig cfg;
+            cfg.profile = dcs[trial.index];
+            cfg.seed = seed + trial.index;
+            faas::Platform platform(cfg);
 
-        std::vector<faas::AccountId> accounts;
-        for (std::uint32_t a = 0; a < accounts_per_dc; ++a) {
-            accounts.push_back(platform.createAccount(
-                a % platform.fleet().shardCount()));
-        }
+            std::vector<faas::AccountId> accounts;
+            for (std::uint32_t a = 0; a < accounts_per_dc; ++a) {
+                accounts.push_back(platform.createAccount(
+                    a % platform.fleet().shardCount()));
+            }
 
-        core::PrimeOptions prime; // 800 instances, 10-minute interval
-        results.push_back(core::exploreClusterSize(
-            platform, accounts, services, launches_per_service, prime));
-    }
+            core::PrimeOptions prime; // 800 instances, 10-minute interval
+            return core::exploreClusterSize(
+                platform, accounts, services, launches_per_service, prime);
+        },
+        ctx.threads);
 
     core::TextTable table;
     table.header({"launch", dcs[0].name, dcs[1].name, dcs[2].name});

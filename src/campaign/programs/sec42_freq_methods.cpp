@@ -5,6 +5,8 @@
  * available, but slightly wrong, so fingerprints drift and expire.
  * Method 2 measures against the wall clock — drift-free, but on ~10%
  * of hosts the measurement scatters, causing false negatives.
+ *
+ * Stays serial: both methods measure one shared platform.
  */
 
 #include <cmath>

@@ -5,6 +5,10 @@
  * accuracy evaluation, but fingerprints are the refined frequency read
  * inside the guest: low precision, zero false negatives, so Step-2
  * verification can run fully parallel with no Step 3.
+ *
+ * Each (data center, run) pair is an independent trial with its own
+ * Platform on the parallel harness; the statistics fold serially in
+ * trial order, so the table is identical for any --threads value.
  */
 
 #include <cstdio>
@@ -17,9 +21,26 @@
 #include "core/report.hpp"
 #include "core/strategy.hpp"
 #include "core/verify.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
 #include "stats/clustering.hpp"
 #include "stats/summary.hpp"
+
+namespace {
+
+/** What one (data center, run) trial measured. */
+struct TrialResult
+{
+    double fmi = 0.0;
+    double precision = 0.0;
+    double recall = 0.0;
+    std::uint64_t false_negatives = 0;
+    double hosts_per_fp = 0.0;
+    double waves_parallel = 0.0;
+    double waves_serial = 0.0;
+};
+
+} // namespace
 
 EAAO_CAMPAIGN_PROGRAM(sec45_gen2_accuracy)
 {
@@ -39,12 +60,11 @@ EAAO_CAMPAIGN_PROGRAM(sec45_gen2_accuracy)
                 "(%u instances, %d runs x %zu DCs) ===\n\n",
                 instances, runs_per_dc, dcs.size());
 
-    stats::OnlineStats fmi, precision, recall, hosts_per_fp;
-    std::uint64_t total_fn = 0;
-    stats::OnlineStats waves_parallel, waves_serial;
-
-    for (std::size_t d = 0; d < dcs.size(); ++d) {
-        for (int run = 0; run < runs_per_dc; ++run) {
+    const std::vector<TrialResult> trials = exp::runTrials(
+        dcs.size() * runs_per_dc, seed,
+        [&](exp::TrialContext &trial) {
+            const std::size_t d = trial.index / runs_per_dc;
+            const int run = static_cast<int>(trial.index % runs_per_dc);
             faas::PlatformConfig cfg;
             cfg.profile = dcs[d];
             cfg.seed = seed + d * dc_stride + run;
@@ -63,11 +83,12 @@ EAAO_CAMPAIGN_PROGRAM(sec45_gen2_accuracy)
             for (const auto id : obs.ids)
                 oracle.push_back(platform.oracleHostOf(id));
 
+            TrialResult out;
             const auto pc = stats::comparePairs(obs.fp_keys, oracle);
-            fmi.add(pc.fmi());
-            precision.add(pc.precision());
-            recall.add(pc.recall());
-            total_fn += pc.fn;
+            out.fmi = pc.fmi();
+            out.precision = pc.precision();
+            out.recall = pc.recall();
+            out.false_negatives = pc.fn;
 
             // Hosts per fingerprint (averaged over fingerprints).
             std::map<std::uint64_t, std::set<std::uint64_t>> by_fp;
@@ -76,26 +97,40 @@ EAAO_CAMPAIGN_PROGRAM(sec45_gen2_accuracy)
             double sum = 0.0;
             for (const auto &[key, hosts] : by_fp)
                 sum += static_cast<double>(hosts.size());
-            hosts_per_fp.add(sum / static_cast<double>(by_fp.size()));
+            out.hosts_per_fp = sum / static_cast<double>(by_fp.size());
 
             // Verification benefit: Gen 2 allows fully parallel Step 2
             // and skips Step 3.
             channel::RngChannel chan_par(platform);
             core::VerifyOptions par;
             par.no_false_negatives = true;
-            const auto vp = core::verifyScalable(
-                platform, chan_par, obs.ids, obs.fp_keys,
-                obs.class_keys, par);
-            waves_parallel.add(static_cast<double>(vp.waves));
+            out.waves_parallel = static_cast<double>(
+                core::verifyScalable(platform, chan_par, obs.ids,
+                                     obs.fp_keys, obs.class_keys, par)
+                    .waves);
 
             channel::RngChannel chan_ser(platform);
             core::VerifyOptions ser;
             ser.parallelize = false;
-            const auto vs = core::verifyScalable(
-                platform, chan_ser, obs.ids, obs.fp_keys,
-                obs.class_keys, ser);
-            waves_serial.add(static_cast<double>(vs.waves));
-        }
+            out.waves_serial = static_cast<double>(
+                core::verifyScalable(platform, chan_ser, obs.ids,
+                                     obs.fp_keys, obs.class_keys, ser)
+                    .waves);
+            return out;
+        },
+        ctx.threads);
+
+    stats::OnlineStats fmi, precision, recall, hosts_per_fp;
+    std::uint64_t total_fn = 0;
+    stats::OnlineStats waves_parallel, waves_serial;
+    for (const TrialResult &t : trials) {
+        fmi.add(t.fmi);
+        precision.add(t.precision);
+        recall.add(t.recall);
+        total_fn += t.false_negatives;
+        hosts_per_fp.add(t.hosts_per_fp);
+        waves_parallel.add(t.waves_parallel);
+        waves_serial.add(t.waves_serial);
     }
 
     core::TextTable table;

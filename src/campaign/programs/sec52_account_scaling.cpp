@@ -4,22 +4,36 @@
  * hosts with more accounts and more services — and the quota wall that
  * makes it expensive. Established accounts scale to full launches;
  * fresh accounts are quota-capped until they build usage history.
+ *
+ * Each `point` builds its own Platform, so the points run as
+ * independent trials on the parallel harness; the rows print in file
+ * order, identical for any --threads value.
  */
 
 #include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "campaign/programs/common.hpp"
 #include "campaign/runner.hpp"
 #include "core/report.hpp"
 #include "core/strategy.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
 #include "support/logging.hpp"
 
 namespace {
 
 using namespace eaao;
+
+/** One `point <accounts> <services_per_account> <quota>` line. */
+struct Point
+{
+    std::uint32_t accounts = 0;
+    std::uint32_t services = 0;
+    std::uint32_t quota = 0;
+};
 
 /** Occupied-host fraction for a fleet of attacker accounts. */
 double
@@ -58,40 +72,45 @@ EAAO_CAMPAIGN_PROGRAM(sec52_account_scaling)
 {
     const campaign::CampaignSpec &spec = ctx.spec;
 
-    // Quota clamps are expected here; silence the per-launch warnings.
-    eaao::setLogLevel(eaao::LogLevel::Silent);
-
     const faas::DataCenterProfile profile =
         campaign::profileOf(spec, "platform", "profile");
     const std::uint64_t seed = spec.u64("platform", "seed");
     const std::uint32_t instances =
         spec.u32("workload", "instances_per_launch");
 
-    core::TextTable table;
-    table.header({"accounts", "services/acct", "quota", "occupancy",
-                  "cost (USD)"});
-
-    // point <accounts> <services_per_account> <quota>
+    std::vector<Point> points;
     for (const campaign::SpecLine *line :
          spec.directives("workload", "point")) {
         if (line->tokens.size() != 4)
             spec.fail(line->line_no,
                       "expected: point <accounts> <services> <quota>");
-        const auto accounts = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[1]));
-        const auto services = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[2]));
-        const auto quota = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[3]));
-        double cost = 0.0;
-        const double occ = occupancyWithAccounts(
-            profile, accounts, services, quota, instances,
-            seed + accounts * 13 + services, cost);
-        table.row({core::format("%u", accounts),
-                   core::format("%u", services),
-                   core::format("%u", quota),
-                   core::percent(occ),
-                   core::format("%.1f", cost)});
+        points.push_back({spec.u32At(*line, 1), spec.u32At(*line, 2),
+                          spec.u32At(*line, 3)});
     }
+
+    // Quota clamps are expected here; silence the per-launch warnings
+    // for this campaign only.
+    const ScopedLogLevel quiet(LogLevel::Silent);
+    const std::vector<std::vector<std::string>> rows = exp::runTrials(
+        points.size(), seed,
+        [&](exp::TrialContext &trial) {
+            const Point &pt = points[trial.index];
+            double cost = 0.0;
+            const double occ = occupancyWithAccounts(
+                profile, pt.accounts, pt.services, pt.quota, instances,
+                seed + pt.accounts * 13 + pt.services, cost);
+            return std::vector<std::string>{
+                core::format("%u", pt.accounts),
+                core::format("%u", pt.services),
+                core::format("%u", pt.quota), core::percent(occ),
+                core::format("%.1f", cost)};
+        },
+        ctx.threads);
+
+    core::TextTable table;
+    table.header({"accounts", "services/acct", "quota", "occupancy",
+                  "cost (USD)"});
+    for (const std::vector<std::string> &row : rows)
+        table.row(row);
     table.print();
 }

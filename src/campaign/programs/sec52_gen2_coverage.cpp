@@ -60,8 +60,8 @@ EAAO_CAMPAIGN_PROGRAM(sec52_gen2_coverage)
         dc.profile = campaign::profileByName(spec, line->tokens[1],
                                              line->line_no);
         for (int s = 0; s < 3; ++s)
-            dc.shards[s] = static_cast<std::uint32_t>(
-                std::stoul(line->tokens[2 + s]));
+            dc.shards[s] =
+                campaign::homeShard(spec, *line, 2 + s, dc.profile);
         dc.paper[0] = line->tokens[5];
         dc.paper[1] = line->tokens[6];
         dcs.push_back(dc);

@@ -5,6 +5,11 @@
  * placement policy; base hosts are account-affine, so coverage is zero
  * unless the attacker's and victim's base hosts happen to overlap.
  * Paper-expectation cells come from `paper` directives in [verify].
+ *
+ * Each (data center, victim account, run) triple is an independent
+ * trial with its own Platform on the parallel harness; aggregation is
+ * serial in trial order, so the table is identical for any --threads
+ * value.
  */
 
 #include <cstdio>
@@ -15,6 +20,7 @@
 #include "campaign/runner.hpp"
 #include "core/report.hpp"
 #include "core/strategy.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
 #include "stats/summary.hpp"
 
@@ -25,6 +31,13 @@ struct DcSetup
     eaao::faas::DataCenterProfile profile;
     std::uint32_t shards[3]; // attacker, Account 2, Account 3
     std::string paper[2];
+};
+
+/** What one (DC, victim account, run) trial measured. */
+struct TrialResult
+{
+    double coverage = 0.0;
+    std::size_t attacker_hosts = 0;
 };
 
 } // namespace
@@ -61,8 +74,8 @@ EAAO_CAMPAIGN_PROGRAM(sec52_naive_strategy)
         dc.profile = campaign::profileByName(spec, line->tokens[1],
                                              line->line_no);
         for (int s = 0; s < 3; ++s)
-            dc.shards[s] = static_cast<std::uint32_t>(
-                std::stoul(line->tokens[2 + s]));
+            dc.shards[s] =
+                campaign::homeShard(spec, *line, 2 + s, dc.profile);
         dc.paper[0] = dc.paper[1] = "0%";
         dcs.push_back(dc);
     }
@@ -84,42 +97,60 @@ EAAO_CAMPAIGN_PROGRAM(sec52_naive_strategy)
                                          line->tokens[1] + "'");
     }
 
+    // Trial index encodes (dc, victim, run) in the original nesting
+    // order, so the serial aggregation below feeds each accumulator in
+    // the order the serial loop did.
+    const std::vector<TrialResult> trials = exp::runTrials(
+        dcs.size() * 2 * runs, seed,
+        [&](exp::TrialContext &trial) {
+            const DcSetup &dc = dcs[trial.index / (2 * runs)];
+            const int victim_idx =
+                static_cast<int>((trial.index / runs) % 2);
+            const int run = static_cast<int>(trial.index % runs);
+
+            faas::PlatformConfig cfg;
+            cfg.profile = dc.profile;
+            cfg.seed = seed + victim_idx * victim_stride + run;
+            faas::Platform platform(cfg);
+            const auto attacker = platform.createAccount(dc.shards[0]);
+            const auto victim =
+                platform.createAccount(dc.shards[1 + victim_idx]);
+
+            const core::CampaignResult attack = core::runNaiveCampaign(
+                platform, attacker, services, per_service);
+
+            const auto vsvc =
+                platform.deployService(victim, faas::ExecEnv::Gen1);
+            const auto vids = platform.connect(vsvc, victim_count);
+            TrialResult out;
+            out.coverage = core::measureCoverageOracle(
+                               platform, attack.occupied_hosts, vids)
+                               .coverage();
+            out.attacker_hosts = attack.occupied_hosts.size();
+            return out;
+        },
+        ctx.threads);
+
     core::TextTable table;
     table.header({"DC / victim", "coverage", "(sd)",
                   "attacker hosts", "paper"});
 
-    for (const DcSetup &dc : dcs) {
+    for (std::size_t d = 0; d < dcs.size(); ++d) {
         for (int victim_idx = 0; victim_idx < 2; ++victim_idx) {
             stats::OnlineStats coverage;
-            std::size_t attacker_hosts = 0;
+            std::size_t attacker_hosts = 0; // the last run's, as printed
             for (int run = 0; run < runs; ++run) {
-                faas::PlatformConfig cfg;
-                cfg.profile = dc.profile;
-                cfg.seed = seed + victim_idx * victim_stride + run;
-                faas::Platform platform(cfg);
-                const auto attacker =
-                    platform.createAccount(dc.shards[0]);
-                const auto victim = platform.createAccount(
-                    dc.shards[1 + victim_idx]);
-
-                const core::CampaignResult attack =
-                    core::runNaiveCampaign(platform, attacker,
-                                           services, per_service);
-                attacker_hosts = attack.occupied_hosts.size();
-
-                const auto vsvc = platform.deployService(
-                    victim, faas::ExecEnv::Gen1);
-                const auto vids = platform.connect(vsvc, victim_count);
-                coverage.add(core::measureCoverageOracle(
-                                 platform, attack.occupied_hosts, vids)
-                                 .coverage());
+                const TrialResult &t =
+                    trials[(d * 2 + victim_idx) * runs + run];
+                coverage.add(t.coverage);
+                attacker_hosts = t.attacker_hosts;
             }
-            table.row({dc.profile.name + " / Acc" +
+            table.row({dcs[d].profile.name + " / Acc" +
                            std::to_string(victim_idx + 2),
                        core::percent(coverage.mean()),
                        core::format("%.3f", coverage.stddev()),
                        core::format("%zu", attacker_hosts),
-                       dc.paper[victim_idx]});
+                       dcs[d].paper[victim_idx]});
         }
     }
     table.print();

@@ -5,6 +5,8 @@
  * records fingerprints (and drift slopes) of hosts that carried victim
  * instances; attack 2, a day later, matches fresh fingerprints against
  * the recorded set and monitors only the matching instances.
+ *
+ * Stays serial: attack 2 reuses attack 1's platform a day later.
  */
 
 #include <cstdio>

@@ -7,6 +7,8 @@
  * and provider-side contention-burst detection. Each sub-experiment
  * gets its own platform seeded at consecutive offsets from the
  * campaign's base seed.
+ *
+ * Stays serial: its sections are heterogeneous, not one sweep.
  */
 
 #include <cstdio>

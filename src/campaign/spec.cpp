@@ -5,6 +5,9 @@
 
 #include "campaign/spec.hpp"
 
+#include "support/options.hpp"
+
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -21,6 +24,13 @@ parseNumber(const std::string &text, double &out)
     char *end = nullptr;
     out = std::strtod(text.c_str(), &end);
     return end == text.c_str() + text.size();
+}
+
+/** What a message calls @p line: its key, or a directive's head. */
+const std::string &
+nameOf(const SpecLine &line)
+{
+    return line.key.empty() ? line.tokens[0] : line.key;
 }
 
 } // namespace
@@ -91,17 +101,44 @@ CampaignSpec::requireLine(const std::string &section,
     return *line;
 }
 
+const std::string &
+CampaignSpec::tokenAt(const SpecLine &line, std::size_t index) const
+{
+    if (index >= line.tokens.size()) {
+        fail(line.line_no, "'" + nameOf(line) + "' is missing value " +
+                               std::to_string(index));
+    }
+    return line.tokens[index];
+}
+
 double
 CampaignSpec::numFromToken(const SpecLine &line,
                            const std::string &token) const
 {
     double value = 0.0;
     if (!parseNumber(token, value)) {
-        fail(line.line_no, "'" + (line.key.empty() ? line.tokens[0]
-                                                   : line.key) +
-                               "' expects a number, got '" + token + "'");
+        fail(line.line_no,
+             "'" + nameOf(line) + "' expects a number, got '" + token + "'");
     }
     return value;
+}
+
+std::uint64_t
+CampaignSpec::uintFromToken(const SpecLine &line, const std::string &token,
+                            std::uint64_t max) const
+{
+    // Digits parse exactly, seeds past 2^53 included. Other spellings
+    // ("3.0", "1e3") take the number path and must be integral.
+    if (const auto exact = support::parseUint(token.c_str(), 0, max))
+        return *exact;
+    const double value = numFromToken(line, token);
+    // Converting a double outside [0, 2^64) is undefined, so the range
+    // check comes first.
+    if (value >= 0.0 && value < 0x1p64 && value == std::floor(value) &&
+        static_cast<std::uint64_t>(value) <= max)
+        return static_cast<std::uint64_t>(value);
+    fail(line.line_no, "'" + nameOf(line) + "' expects an integer in 0.." +
+                           std::to_string(max) + ", got '" + token + "'");
 }
 
 bool
@@ -143,13 +180,9 @@ CampaignSpec::num(const std::string &section, const std::string &key,
 std::uint32_t
 CampaignSpec::u32(const std::string &section, const std::string &key) const
 {
-    const double value = num(section, key);
-    const auto u = static_cast<std::uint32_t>(value);
-    if (value < 0.0 || static_cast<double>(u) != value) {
-        fail(requireLine(section, key).line_no,
-             "'" + key + "' expects a nonnegative integer");
-    }
-    return u;
+    const SpecLine &line = requireLine(section, key);
+    return static_cast<std::uint32_t>(
+        uintFromToken(line, line.value, UINT32_MAX));
 }
 
 std::uint32_t
@@ -162,13 +195,8 @@ CampaignSpec::u32(const std::string &section, const std::string &key,
 std::uint64_t
 CampaignSpec::u64(const std::string &section, const std::string &key) const
 {
-    const double value = num(section, key);
-    const auto u = static_cast<std::uint64_t>(value);
-    if (value < 0.0 || static_cast<double>(u) != value) {
-        fail(requireLine(section, key).line_no,
-             "'" + key + "' expects a nonnegative integer");
-    }
-    return u;
+    const SpecLine &line = requireLine(section, key);
+    return uintFromToken(line, line.value, UINT64_MAX);
 }
 
 bool
@@ -198,11 +226,45 @@ CampaignSpec::numList(const std::string &section,
     return values;
 }
 
+std::vector<std::uint32_t>
+CampaignSpec::u32List(const std::string &section, const std::string &key,
+                      std::uint32_t max) const
+{
+    const SpecLine &line = requireLine(section, key);
+    std::vector<std::uint32_t> values;
+    values.reserve(line.tokens.size());
+    for (const std::string &token : line.tokens) {
+        values.push_back(
+            static_cast<std::uint32_t>(uintFromToken(line, token, max)));
+    }
+    return values;
+}
+
 std::vector<std::string>
 CampaignSpec::strList(const std::string &section,
                       const std::string &key) const
 {
     return requireLine(section, key).tokens;
+}
+
+double
+CampaignSpec::numAt(const SpecLine &line, std::size_t index) const
+{
+    return numFromToken(line, tokenAt(line, index));
+}
+
+std::uint32_t
+CampaignSpec::u32At(const SpecLine &line, std::size_t index,
+                    std::uint32_t max) const
+{
+    return static_cast<std::uint32_t>(
+        uintFromToken(line, tokenAt(line, index), max));
+}
+
+std::uint64_t
+CampaignSpec::u64At(const SpecLine &line, std::size_t index) const
+{
+    return uintFromToken(line, tokenAt(line, index), UINT64_MAX);
 }
 
 std::vector<const SpecLine *>

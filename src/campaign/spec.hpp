@@ -73,9 +73,29 @@ class CampaignSpec
     std::vector<double> numList(const std::string &section,
                                 const std::string &key) const;
 
+    /**
+     * Value tokens of a required key line as integers in [0, @p max]
+     * (sweep lists).
+     */
+    std::vector<std::uint32_t> u32List(const std::string &section,
+                                       const std::string &key,
+                                       std::uint32_t max = UINT32_MAX) const;
+
     /** Value tokens of a required key line, verbatim. */
     std::vector<std::string> strList(const std::string &section,
                                      const std::string &key) const;
+
+    // -- Directive tokens (@p line comes from directives()). ---------
+
+    /** Token @p index of @p line as a number. */
+    double numAt(const SpecLine &line, std::size_t index) const;
+
+    /** Token @p index of @p line as an integer in [0, @p max]. */
+    std::uint32_t u32At(const SpecLine &line, std::size_t index,
+                        std::uint32_t max = UINT32_MAX) const;
+
+    /** Token @p index of @p line as a 64-bit nonnegative integer. */
+    std::uint64_t u64At(const SpecLine &line, std::size_t index) const;
 
     /**
      * Every directive line in @p section whose first token is
@@ -104,8 +124,15 @@ class CampaignSpec
                              const std::string &key) const;
     const SpecLine &requireLine(const std::string &section,
                                 const std::string &key) const;
+    const std::string &tokenAt(const SpecLine &line,
+                               std::size_t index) const;
     double numFromToken(const SpecLine &line,
                         const std::string &token) const;
+    /** @p token as an integer in [0, @p max], range-checked before
+     *  any cast. */
+    std::uint64_t uintFromToken(const SpecLine &line,
+                                const std::string &token,
+                                std::uint64_t max) const;
 
     SpecFile file_;
     std::string name_;

@@ -58,7 +58,7 @@ Fleet::Fleet(const DataCenterProfile &profile, const hw::TscConfig &tsc_cfg,
     EAAO_ASSERT(n > 0, "empty fleet");
     EAAO_ASSERT(profile.shard_size > 0, "zero shard size");
 
-    shard_count_ = (n + profile.shard_size - 1) / profile.shard_size;
+    shard_count_ = profile.shardCount();
     shard_hosts_.resize(shard_count_);
     hosts_.reserve(n);
     shard_of_.resize(n);

@@ -97,6 +97,13 @@ struct DataCenterProfile
     /** Std-dev of boot times within one wave, seconds. */
     double wave_sigma_s = 600.0;
 
+    /** Number of shards: host_count / shard_size, rounded up. */
+    std::uint32_t
+    shardCount() const
+    {
+        return host_count / shard_size + (host_count % shard_size != 0);
+    }
+
     /** Paper-calibrated preset for us-east1. */
     static DataCenterProfile usEast1();
     /** Paper-calibrated preset for us-central1 (large, dynamic). */

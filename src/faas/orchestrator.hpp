@@ -37,6 +37,7 @@
 #include "obs/observer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "support/block_vector.hpp"
 #include "support/host_load.hpp"
 #include "support/host_map.hpp"
 
@@ -632,7 +633,8 @@ class Orchestrator
     PlacementTrace *trace_ = nullptr;
     std::vector<AccountRecord> accounts_;
     std::vector<ServiceRecord> services_;
-    std::vector<InstanceRecord> instances_;
+    /** Every instance ever created, by id; records never move. */
+    support::BlockVector<InstanceRecord> instances_;
 
     /** Admission queues, indexed by service id (grown on deploy). */
     std::vector<AdmissionQueue> admission_;

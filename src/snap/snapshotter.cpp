@@ -31,6 +31,7 @@
 
 #include "exp/thread_pool.hpp"
 #include "snap/format.hpp"
+#include "support/block_vector.hpp"
 #include "support/logging.hpp"
 
 namespace eaao::snap {
@@ -942,8 +943,7 @@ Snapshotter::restoreLane(SectionReader &in,
         (inst_raw = in.take(static_cast<std::size_t>(n) * kInstWire)) ==
             nullptr)
         return bail("lane instance table");
-    std::vector<faas::InstanceRecord> instances;
-    instances.reserve(static_cast<std::size_t>(n));
+    support::BlockVector<faas::InstanceRecord> instances;
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint8_t *p = inst_raw + i * kInstWire;
         faas::InstanceRecord inst;

@@ -29,6 +29,26 @@ LogLevel logLevel();
 /** Set the global log threshold. */
 void setLogLevel(LogLevel level);
 
+/**
+ * Sets the global log threshold for one scope and restores the
+ * caller's when the scope ends, by return or by throw, so one
+ * campaign's quiet mode never leaks into the next in the same process.
+ */
+class ScopedLogLevel
+{
+  public:
+    explicit ScopedLogLevel(LogLevel level) : saved_(logLevel())
+    {
+        setLogLevel(level);
+    }
+    ~ScopedLogLevel() { setLogLevel(saved_); }
+    ScopedLogLevel(const ScopedLogLevel &) = delete;
+    ScopedLogLevel &operator=(const ScopedLogLevel &) = delete;
+
+  private:
+    LogLevel saved_;
+};
+
 namespace detail {
 
 /** Emit a message to stderr with a severity tag. Internal use. */

@@ -158,6 +158,69 @@ TEST(CampaignSpecAccess, MissingAndMalformedKeys)
     EXPECT_EQ(spec.program(), "replay");
 }
 
+TEST(SpecFileParse, DirectiveTokensAreChecked)
+{
+    const CampaignSpec spec = CampaignSpec::parse(
+        std::string(kMinimal) + "[workload]\n"
+                                "point 1 x 1000\n"
+                                "point 1 3 99999999999999\n"
+                                "point 2.0 1e3 18446744073709551615\n"
+                                "point -1 0.5 nan\n"
+                                "sweep = 0 15 -5\n"
+                                "big = 4294967296\n"
+                                "seed = 18446744073709551615\n",
+        "spec.scenario");
+    const auto points = spec.directives("workload", "point");
+    ASSERT_EQ(points.size(), 4u);
+    const auto error = [](auto &&call) -> std::string {
+        try {
+            call();
+        } catch (const SpecError &e) {
+            return e.what();
+        }
+        return "no error";
+    };
+
+    // A number.
+    EXPECT_EQ(spec.numAt(*points[0], 1), 1.0);
+    EXPECT_EQ(error([&] { spec.numAt(*points[0], 2); }),
+              "spec.scenario:6: 'point' expects a number, got 'x'");
+    EXPECT_EQ(error([&] { spec.numAt(*points[0], 4); }),
+              "spec.scenario:6: 'point' is missing value 4");
+
+    // An integer, range-checked before any cast.
+    EXPECT_EQ(spec.u32At(*points[1], 2), 3u);
+    EXPECT_EQ(error([&] { spec.u32At(*points[1], 3); }),
+              "spec.scenario:7: 'point' expects an integer in "
+              "0..4294967295, got '99999999999999'");
+    EXPECT_EQ(spec.u32At(*points[2], 1), 2u);    // integral spellings
+    EXPECT_EQ(spec.u32At(*points[2], 2), 1000u); // are accepted
+    EXPECT_EQ(spec.u64At(*points[2], 3), ~0ULL); // digits parse exactly
+    EXPECT_EQ(error([&] { spec.u32At(*points[2], 3); }),
+              "spec.scenario:8: 'point' expects an integer in "
+              "0..4294967295, got '18446744073709551615'");
+    EXPECT_EQ(error([&] { spec.u32At(*points[1], 2, 2); }),
+              "spec.scenario:7: 'point' expects an integer in 0..2, got '3'");
+    for (std::size_t i = 1; i <= 3; ++i) // -1, 0.5 and nan
+        EXPECT_NE(error([&] { spec.u64At(*points[3], i); })
+                      .find("spec.scenario:9: 'point' expects an integer"),
+                  std::string::npos);
+    EXPECT_EQ(error([&] { spec.u64At(*points[0], 2); }),
+              "spec.scenario:6: 'point' expects a number, got 'x'");
+
+    // An integer list for sweeps.
+    EXPECT_EQ(error([&] { spec.u32List("workload", "sweep"); }),
+              "spec.scenario:10: 'sweep' expects an integer in "
+              "0..4294967295, got '-5'");
+
+    // Keys take the same range check.
+    EXPECT_EQ(error([&] { spec.u32("workload", "big"); }),
+              "spec.scenario:11: 'big' expects an integer in "
+              "0..4294967295, got '4294967296'");
+    EXPECT_EQ(spec.u64("workload", "big"), 4294967296ULL);
+    EXPECT_EQ(spec.u64("workload", "seed"), ~0ULL);
+}
+
 TEST(CampaignSpecAccess, QuotedTokensAndNotes)
 {
     const CampaignSpec spec = CampaignSpec::parse(

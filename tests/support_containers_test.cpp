@@ -2,13 +2,14 @@
  * @file
  * Property tests for the containers backing the orchestrator's hot
  * paths: SmallFlatMap against std::map, MinLoadTree against a
- * brute-force prefix scan, and the routing index's per-service heaps
+ * brute-force prefix scan, the routing index's per-service heaps
  * against the reference route scan, under long random operation
- * sequences.
+ * sequences, and BlockVector (the instance table) against std::vector.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -17,6 +18,7 @@
 
 #include "faas/routing_index.hpp"
 #include "sim/rng.hpp"
+#include "support/block_vector.hpp"
 #include "support/flat_map.hpp"
 #include "support/min_load_tree.hpp"
 
@@ -301,6 +303,132 @@ TEST(RoutingIndexProperty, MatchesReferenceScanOverRandomOps)
                       referenceLeastLoaded(active[s], limit));
     }
     EXPECT_EQ(index.leastLoaded(kServices + 3, 4), faas::kNoInstance);
+}
+
+/** A 128-byte record, the size of an instance record: 32 KiB blocks. */
+struct Record
+{
+    std::uint64_t key = 0;
+    std::uint64_t payload[15] = {};
+
+    bool operator==(const Record &o) const { return key == o.key; }
+};
+static_assert(sizeof(Record) == 128);
+
+/** Size, indexing and iteration of @p table all agree with @p model. */
+void
+expectSameRecords(const BlockVector<Record> &table,
+                  const std::vector<Record> &model)
+{
+    ASSERT_EQ(table.size(), model.size());
+    EXPECT_EQ(table.empty(), model.empty());
+    for (std::size_t i = 0; i < model.size(); ++i)
+        ASSERT_EQ(table[i].key, model[i].key) << "index " << i;
+    std::size_t i = 0;
+    for (const Record &r : table) {
+        ASSERT_LT(i, model.size());
+        ASSERT_EQ(r.key, model[i].key) << "iterated " << i;
+        ++i;
+    }
+    EXPECT_EQ(i, model.size());
+}
+
+TEST(BlockVectorProperty, MatchesStdVectorAcrossBlockBoundaries)
+{
+    sim::Rng rng(8128);
+    // Empty, one record, both sides of the first block boundary, and
+    // many blocks.
+    for (const std::size_t n : {0u, 1u, 255u, 256u, 257u, 10'000u}) {
+        BlockVector<Record> table;
+        std::vector<Record> model;
+        for (std::size_t i = 0; i < n; ++i) {
+            Record r;
+            r.key = rng();
+            table.push_back(r);
+            model.push_back(r);
+        }
+        expectSameRecords(table, model);
+
+        // Writes through operator[] land in place.
+        for (std::size_t i = 0; i < n; i += 97) {
+            table[i].key = i;
+            model[i].key = i;
+        }
+        expectSameRecords(table, model);
+        if (n > 0) { // the iterator works with the standard algorithms
+            EXPECT_TRUE(std::find(table.begin(), table.end(),
+                                  model.back()) != table.end());
+        }
+    }
+}
+
+TEST(BlockVector, ReferencesSurviveGrowth)
+{
+    BlockVector<Record> table;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        Record r;
+        r.key = i;
+        table.push_back(r);
+    }
+    // The first record, and the last one in a half-filled block.
+    Record &first = table[0];
+    const Record *last = &table[299];
+    for (std::uint64_t i = 300; i < 10'300; ++i) {
+        Record r;
+        r.key = i;
+        table.push_back(r);
+    }
+    EXPECT_EQ(&first, &table[0]);
+    EXPECT_EQ(last, &table[299]);
+    EXPECT_EQ(first.key, 0u);
+    EXPECT_EQ(last->key, 299u);
+    first.key = 77;
+    EXPECT_EQ(table[0].key, 77u);
+}
+
+TEST(BlockVector, MoveAssignmentReplacesLikeARestore)
+{
+    // Restore fills a staging table, then moves it over the live one.
+    BlockVector<Record> live, staging;
+    std::vector<Record> model;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        Record r;
+        r.key = 5000 + i;
+        live.push_back(r);
+    }
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        Record r;
+        r.key = i;
+        staging.push_back(r);
+        model.push_back(r);
+    }
+    const Record *kept = &staging[257];
+    live = std::move(staging);
+    expectSameRecords(live, model);
+    EXPECT_EQ(&live[257], kept); // the blocks moved, not the records
+
+    // The moved-from table is empty and usable again.
+    EXPECT_EQ(staging.size(), 0u);
+    EXPECT_TRUE(staging.begin() == staging.end());
+    Record r;
+    r.key = 42;
+    staging.push_back(r);
+    ASSERT_EQ(staging.size(), 1u);
+    EXPECT_EQ(staging[0].key, 42u);
+    expectSameRecords(live, model);
+
+    // Growing past the moved blocks keeps the table consistent.
+    for (std::uint64_t i = 300; i < 600; ++i) {
+        Record more;
+        more.key = i;
+        live.push_back(more);
+        model.push_back(more);
+    }
+    expectSameRecords(live, model);
+
+    BlockVector<Record> built(std::move(live));
+    expectSameRecords(built, model);
+    EXPECT_EQ(live.size(), 0u);
 }
 
 } // namespace
