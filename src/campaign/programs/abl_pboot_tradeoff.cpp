@@ -47,7 +47,7 @@ EAAO_CAMPAIGN_PROGRAM(abl_pboot_tradeoff)
     // ...and a long tracking window (one probe per host) for the
     // lifetime side.
     const int track_hours =
-        static_cast<int>(spec.u32("workload", "track_hours"));
+        spec.count("workload", "track_hours", campaign::kMaxHours);
     std::vector<faas::InstanceId> probes;
     {
         std::set<hw::HostId> seen;

@@ -23,10 +23,16 @@ profileByName(const CampaignSpec &spec, const std::string &name,
 
 std::vector<faas::DataCenterProfile>
 profileList(const CampaignSpec &spec, const std::string &section,
-            const std::string &key)
+            const std::string &key, std::size_t count)
 {
     const std::vector<std::string> names = spec.strList(section, key);
     const SpecLine *line = spec.file().section(section)->find(key);
+    if (count != 0 && names.size() != count) {
+        spec.fail(line->line_no, "'" + key + "' expects " +
+                                     std::to_string(count) +
+                                     " data-center profiles, got " +
+                                     std::to_string(names.size()));
+    }
     std::vector<faas::DataCenterProfile> profiles;
     profiles.reserve(names.size());
     for (const std::string &name : names)

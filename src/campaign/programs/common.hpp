@@ -22,6 +22,9 @@ namespace eaao::campaign {
  */
 inline constexpr std::uint32_t kMaxMinutes = 365 * 24 * 60;
 
+/** Largest hour count a program takes from a key (a year). */
+inline constexpr std::uint32_t kMaxHours = 365 * 24;
+
 /**
  * The paper-calibrated preset named @p name (us-east1 / us-central1 /
  * us-west1). Throws SpecError at @p line_no of @p spec otherwise.
@@ -30,10 +33,14 @@ faas::DataCenterProfile profileByName(const CampaignSpec &spec,
                                       const std::string &name,
                                       std::size_t line_no);
 
-/** Profiles named by the required list `[section] key = n1 n2 ...`. */
+/**
+ * Profiles named by the required list `[section] key = n1 n2 ...`.
+ * A nonzero @p count is the exact length the program's tables are laid
+ * out for; any other length throws SpecError at the line.
+ */
 std::vector<faas::DataCenterProfile>
 profileList(const CampaignSpec &spec, const std::string &section,
-            const std::string &key);
+            const std::string &key, std::size_t count = 0);
 
 /** Profile named by the required scalar `[section] key = name`. */
 faas::DataCenterProfile profileOf(const CampaignSpec &spec,

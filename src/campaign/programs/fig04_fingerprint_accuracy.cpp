@@ -72,8 +72,7 @@ EAAO_CAMPAIGN_PROGRAM(fig04_fingerprint_accuracy)
     const unsigned threads = ctx.threads;
 
     const std::uint32_t instances = spec.u32("workload", "instances");
-    const int runs_per_dc =
-        static_cast<int>(spec.u32("workload", "runs_per_dc"));
+    const int runs_per_dc = spec.count("workload", "runs_per_dc");
     const std::uint64_t seed = spec.u64("workload", "seed");
     const std::uint64_t dc_stride = spec.u64("workload", "dc_seed_stride");
     const std::vector<double> p_boots = spec.numList("attack", "p_boots");

@@ -127,14 +127,14 @@ EAAO_CAMPAIGN_PROGRAM(fig05_expiration_cdf)
 
     Fig05Knobs knobs;
     knobs.instances = spec.u32("workload", "instances");
-    knobs.hours = static_cast<int>(spec.u32("workload", "hours"));
+    knobs.hours = spec.count("workload", "hours", campaign::kMaxHours);
     knobs.connect = spec.u32("workload", "connect");
     knobs.restart_prob_per_hour =
         spec.num("workload", "restart_prob_per_hour");
     knobs.p_boot = spec.num("attack", "p_boot");
     const std::uint64_t seed = spec.u64("workload", "seed");
     const std::vector<faas::DataCenterProfile> dcs =
-        campaign::profileList(spec, "platform", "profiles");
+        campaign::profileList(spec, "platform", "profiles", 3);
 
     const std::vector<DcResult> results = exp::runTrials(
         dcs.size(), seed,

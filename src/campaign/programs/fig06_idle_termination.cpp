@@ -33,7 +33,7 @@ EAAO_CAMPAIGN_PROGRAM(fig06_idle_termination)
 
     const std::uint32_t connect = spec.u32("workload", "connect");
     const int decay_half_min =
-        static_cast<int>(spec.u32("workload", "decay_half_minutes"));
+        spec.count("workload", "decay_half_minutes", campaign::kMaxMinutes);
 
     const auto ids = platform.connect(svc, connect);
 

@@ -73,9 +73,9 @@ EAAO_CAMPAIGN_PROGRAM(fig07_exp2_same_service)
     faas::Platform platform(cfg);
     const auto acct = platform.createAccount();
 
-    const int launches = static_cast<int>(spec.u32("workload", "launches"));
+    const int launches = spec.count("workload", "launches");
     const int interval_min =
-        static_cast<int>(spec.u32("workload", "interval_minutes"));
+        spec.count("workload", "interval_minutes", campaign::kMaxMinutes);
 
     // variant <same_service|fresh_service> "<label>"
     for (const campaign::SpecLine *line :

@@ -56,7 +56,7 @@ EAAO_CAMPAIGN_PROGRAM(fig08_exp3_accounts)
                           std::to_string(shards.size()));
     }
     const int interval_min =
-        static_cast<int>(spec.u32("workload", "interval_minutes"));
+        spec.count("workload", "interval_minutes", campaign::kMaxMinutes);
 
     faas::Platform platform(cfg);
     std::vector<faas::AccountId> accounts;

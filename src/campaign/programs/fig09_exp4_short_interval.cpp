@@ -75,7 +75,7 @@ EAAO_CAMPAIGN_PROGRAM(fig09_exp4_short_interval)
 
     const faas::DataCenterProfile profile =
         campaign::profileOf(spec, "platform", "profile");
-    const int launches = static_cast<int>(spec.u32("workload", "launches"));
+    const int launches = spec.count("workload", "launches");
 
     // run <seed> <interval_min> — the main (printed) run, then the
     // control arms summarized in the interval table.

@@ -36,9 +36,9 @@ EAAO_CAMPAIGN_PROGRAM(fig10_exp4_episodes)
     faas::Platform platform(cfg);
     const auto acct = platform.createAccount();
 
-    const int episodes = static_cast<int>(spec.u32("workload", "episodes"));
+    const int episodes = spec.count("workload", "episodes");
     const int cooldown_min =
-        static_cast<int>(spec.u32("workload", "cooldown_minutes"));
+        spec.count("workload", "cooldown_minutes", campaign::kMaxMinutes);
 
     core::TextTable table;
     table.header({"episode", "apparent helper hosts",

@@ -78,7 +78,7 @@ EAAO_CAMPAIGN_PROGRAM(fig11_victim_coverage)
     const campaign::CampaignSpec &spec = ctx.spec;
     const unsigned threads = ctx.threads;
 
-    const int runs = static_cast<int>(spec.u32("workload", "runs"));
+    const int runs = spec.count("workload", "runs");
     std::printf("=== Figure 11: victim instance coverage, optimized "
                 "strategy (%d runs each) ===\n\n", runs);
 

@@ -26,13 +26,13 @@ EAAO_CAMPAIGN_PROGRAM(fig12_cluster_size)
     const campaign::CampaignSpec &spec = ctx.spec;
 
     const std::vector<faas::DataCenterProfile> dcs =
-        campaign::profileList(spec, "platform", "profiles");
+        campaign::profileList(spec, "platform", "profiles", 3);
     const std::uint64_t seed = spec.u64("platform", "seed");
     const std::uint32_t accounts_per_dc =
         spec.u32("tenants", "accounts");
-    const int services = static_cast<int>(spec.u32("workload", "services"));
+    const int services = spec.count("workload", "services");
     const int launches_per_service =
-        static_cast<int>(spec.u32("workload", "launches_per_service"));
+        spec.count("workload", "launches_per_service");
     const std::size_t total_launches = static_cast<std::size_t>(
         accounts_per_dc * services * launches_per_service);
 

@@ -26,29 +26,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace {
 
 using namespace eaao;
-
-/** Numeric token of a directive, line-precise on garbage. */
-double
-numToken(const campaign::CampaignSpec &spec, const campaign::SpecLine &line,
-         std::size_t index, const char *what)
-{
-    if (index >= line.tokens.size())
-        spec.fail(line.line_no, std::string("missing ") + what + " token");
-    const std::string &token = line.tokens[index];
-    char *end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        spec.fail(line.line_no, std::string("bad ") + what + " value '" +
-                                    token + "'");
-    return v;
-}
 
 faas::ArrivalKind
 familyByName(const campaign::CampaignSpec &spec,
@@ -93,6 +77,21 @@ sizeOf(std::uint32_t idx)
     }
 }
 
+/** One parsed `account <shard> <quota>` directive. */
+struct AccountDecl
+{
+    std::optional<std::uint32_t> shard; //!< empty: default hash
+    std::uint32_t quota = 0;
+};
+
+/** One parsed `service <account> <env> <size>` directive. */
+struct ServiceDecl
+{
+    std::uint32_t account = 0;
+    std::uint32_t env = 0;  //!< 0 Gen1, 1 Gen2
+    std::uint32_t size = 0; //!< 0..3, see sizeOf()
+};
+
 /** One parsed `stream` directive. */
 struct StreamDecl
 {
@@ -132,37 +131,29 @@ EAAO_CAMPAIGN_PROGRAM(loadgen)
                                          spec.u32("workload", "shards", 1));
     cfg.threads = ctx.threads;
 
-    faas::ShardedPlatform platform(cfg);
-
-    // -- Tenant topology ([tenants], testkit directive grammar). -----
-    std::vector<faas::AccountId> accounts;
+    // -- Tenant topology ([tenants], testkit directive grammar),
+    // checked before the platform is built. --------------------------
+    std::vector<AccountDecl> account_decls;
     for (const campaign::SpecLine *line :
          spec.directives("tenants", "account")) {
-        const double shard = numToken(spec, *line, 1, "account shard");
-        const double quota = numToken(spec, *line, 2, "account quota");
-        accounts.push_back(platform.createAccount(
-            shard < 0 ? std::optional<std::uint32_t>{}
-                      : std::optional<std::uint32_t>(
-                            static_cast<std::uint32_t>(shard)),
-            static_cast<std::uint32_t>(quota)));
+        AccountDecl a;
+        if (spec.numAt(*line, 1) >= 0) // a negative shard: default hash
+            a.shard = campaign::homeShard(spec, *line, 1, cfg.profile);
+        a.quota = spec.u32At(*line, 2);
+        account_decls.push_back(a);
     }
-    std::vector<faas::ServiceId> services;
+    std::vector<ServiceDecl> service_decls;
     for (const campaign::SpecLine *line :
          spec.directives("tenants", "service")) {
-        const auto acct = static_cast<std::size_t>(
-            numToken(spec, *line, 1, "service account"));
-        if (acct >= accounts.size())
+        ServiceDecl d;
+        d.account = spec.u32At(*line, 1);
+        if (d.account >= account_decls.size())
             spec.fail(line->line_no, "service references missing account");
-        const auto env = static_cast<std::uint32_t>(
-            numToken(spec, *line, 2, "service env"));
-        const auto size = static_cast<std::uint32_t>(
-            numToken(spec, *line, 3, "service size"));
-        services.push_back(platform.deployService(
-            accounts[acct],
-            env == 0 ? faas::ExecEnv::Gen1 : faas::ExecEnv::Gen2,
-            sizeOf(size)));
+        d.env = spec.u32At(*line, 2, 1);
+        d.size = spec.u32At(*line, 3, 3);
+        service_decls.push_back(d);
     }
-    if (services.empty())
+    if (service_decls.empty())
         throw campaign::SpecError(spec.file().path +
                                   ": loadgen needs at least one "
                                   "[tenants] service");
@@ -172,25 +163,23 @@ EAAO_CAMPAIGN_PROGRAM(loadgen)
     for (const campaign::SpecLine *line :
          spec.directives("workload", "stream")) {
         StreamDecl s;
-        s.service = static_cast<std::uint32_t>(
-            numToken(spec, *line, 1, "stream service"));
-        if (s.service >= services.size())
+        s.service = spec.u32At(*line, 1);
+        if (s.service >= service_decls.size())
             spec.fail(line->line_no, "stream references missing service");
         if (line->tokens.size() < 3)
             spec.fail(line->line_no, "missing stream family token");
         s.family = line->tokens[2];
         s.spec.kind = familyByName(spec, *line, s.family);
-        s.spec.rate_rps = numToken(spec, *line, 3, "stream rate_rps");
-        s.spec.burst_factor = numToken(spec, *line, 4, "stream burst");
-        s.spec.mean_service_time = sim::Duration::fromSecondsF(
-            numToken(spec, *line, 5, "stream service_ms") / 1e3);
-        s.spec.span = sim::Duration::fromSecondsF(
-            numToken(spec, *line, 6, "stream span_s"));
-        const double churn_s = numToken(spec, *line, 7, "stream churn_s");
+        s.spec.rate_rps = spec.numAt(*line, 3);
+        s.spec.burst_factor = spec.numAt(*line, 4);
+        s.spec.mean_service_time =
+            sim::Duration::fromSecondsF(spec.numAt(*line, 5) / 1e3);
+        s.spec.span = sim::Duration::fromSecondsF(spec.numAt(*line, 6));
+        const double churn_s = spec.numAt(*line, 7);
         s.spec.churn_every =
             churn_s > 0 ? sim::Duration::fromSecondsF(churn_s)
                         : sim::Duration();
-        s.start_s = numToken(spec, *line, 8, "stream start_s");
+        s.start_s = spec.numAt(*line, 8);
         if (s.spec.rate_rps <= 0 || s.spec.span.ns() <= 0)
             spec.fail(line->line_no, "stream needs rate > 0 and span > 0");
         streams.push_back(std::move(s));
@@ -199,6 +188,18 @@ EAAO_CAMPAIGN_PROGRAM(loadgen)
         throw campaign::SpecError(spec.file().path +
                                   ": loadgen needs at least one "
                                   "[workload] stream");
+
+    faas::ShardedPlatform platform(cfg);
+    std::vector<faas::AccountId> accounts;
+    for (const AccountDecl &a : account_decls)
+        accounts.push_back(platform.createAccount(a.shard, a.quota));
+    std::vector<faas::ServiceId> services;
+    for (const ServiceDecl &d : service_decls) {
+        services.push_back(platform.deployService(
+            accounts[d.account],
+            d.env == 0 ? faas::ExecEnv::Gen1 : faas::ExecEnv::Gen2,
+            sizeOf(d.size)));
+    }
 
     // -- Compile to ShardOps. ----------------------------------------
     const std::uint32_t warm = spec.u32("workload", "warm_connections", 0);

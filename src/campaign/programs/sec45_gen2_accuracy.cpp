@@ -48,8 +48,7 @@ EAAO_CAMPAIGN_PROGRAM(sec45_gen2_accuracy)
     const campaign::CampaignSpec &spec = ctx.spec;
 
     const std::uint32_t instances = spec.u32("workload", "instances");
-    const int runs_per_dc =
-        static_cast<int>(spec.u32("workload", "runs_per_dc"));
+    const int runs_per_dc = spec.count("workload", "runs_per_dc");
     const std::vector<faas::DataCenterProfile> dcs =
         campaign::profileList(spec, "platform", "profiles");
     const std::uint64_t seed = spec.u64("platform", "seed");

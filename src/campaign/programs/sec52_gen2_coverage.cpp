@@ -38,7 +38,7 @@ EAAO_CAMPAIGN_PROGRAM(sec52_gen2_coverage)
     const campaign::CampaignSpec &spec = ctx.spec;
     const unsigned threads = ctx.threads;
 
-    const int runs = static_cast<int>(spec.u32("workload", "runs"));
+    const int runs = spec.count("workload", "runs");
     const std::uint32_t victim_count =
         spec.u32("verify", "victim_instances");
     const std::uint64_t seed = spec.u64("platform", "seed");

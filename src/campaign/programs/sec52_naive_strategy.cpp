@@ -47,8 +47,8 @@ EAAO_CAMPAIGN_PROGRAM(sec52_naive_strategy)
     using namespace eaao;
     const campaign::CampaignSpec &spec = ctx.spec;
 
-    const int runs = static_cast<int>(spec.u32("workload", "runs"));
-    const int services = static_cast<int>(spec.u32("workload", "services"));
+    const int runs = spec.count("workload", "runs");
+    const int services = spec.count("workload", "services");
     const std::uint32_t per_service =
         spec.u32("workload", "instances_per_service");
     const std::uint32_t victim_count =

@@ -37,11 +37,10 @@ EAAO_CAMPAIGN_PROGRAM(sec52_repeat_attack)
     const std::uint32_t victim_count =
         spec.u32("verify", "victim_instances");
     const double tol_s = spec.num("attack", "match_tolerance_s");
-    const int quorum = static_cast<int>(spec.u32("attack", "quorum"));
-    const int track_reps =
-        static_cast<int>(spec.u32("attack", "track_samples"));
+    const int quorum = spec.count("attack", "quorum");
+    const int track_reps = spec.count("attack", "track_samples");
     const int track_gap_min =
-        static_cast<int>(spec.u32("attack", "track_gap_minutes"));
+        spec.count("attack", "track_gap_minutes", campaign::kMaxMinutes);
 
     // ---- Attack 1: co-locate and record victim hosts. ----
     const core::CampaignResult attack1 =

@@ -5,8 +5,10 @@
 
 #include "campaign/spec.hpp"
 
+#include "support/logging.hpp"
 #include "support/options.hpp"
 
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -197,6 +199,15 @@ CampaignSpec::u64(const std::string &section, const std::string &key) const
 {
     const SpecLine &line = requireLine(section, key);
     return uintFromToken(line, line.value, UINT64_MAX);
+}
+
+int
+CampaignSpec::count(const std::string &section, const std::string &key,
+                    std::uint32_t max) const
+{
+    EAAO_ASSERT(max <= INT_MAX, "count bound ", max, " exceeds int");
+    const SpecLine &line = requireLine(section, key);
+    return static_cast<int>(uintFromToken(line, line.value, max));
 }
 
 bool

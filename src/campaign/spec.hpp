@@ -64,6 +64,18 @@ class CampaignSpec
     std::uint64_t u64(const std::string &section,
                       const std::string &key) const;
 
+    /** Default bound of count(): far past any campaign, with room for
+     *  `i <= n` loops and products with 60 in int. */
+    static constexpr std::uint32_t kMaxCount = 1'000'000;
+
+    /**
+     * Required key as an int in [0, @p max] (<= INT_MAX): the runs,
+     * launches, minutes and hours programs loop over with `int`,
+     * range-checked before the cast so no value wraps.
+     */
+    int count(const std::string &section, const std::string &key,
+              std::uint32_t max = kMaxCount) const;
+
     bool flag(const std::string &section, const std::string &key,
               bool fallback) const;
 

@@ -217,7 +217,7 @@ Orchestrator::disconnectAll(ServiceId service)
             still_busy.push_back(id);
             continue;
         }
-        routing_.remove(id);
+        routing_.remove(service, id);
         settleActiveTime(inst);
         inst.state = InstanceState::Idle;
         inst.state_since = eq_.now();
@@ -298,7 +298,7 @@ Orchestrator::occupy(ServiceRecord &svc, InstanceRecord &target,
                      sim::Duration service_time)
 {
     ++target.in_flight;
-    routing_.reindex(target.id, target.in_flight);
+    routing_.reindex(svc.id, target.id, target.in_flight);
     ++svc.requests_served;
     EAAO_OBS_COUNT(c_requests_, 1);
     const InstanceId id = target.id;
@@ -479,7 +479,7 @@ Orchestrator::completeRequest(InstanceId id)
     --inst.in_flight;
     if (inst.in_flight > 0 || inst.state != InstanceState::Active) {
         if (inst.state == InstanceState::Active)
-            routing_.reindex(id, inst.in_flight);
+            routing_.reindex(inst.service, id, inst.in_flight);
         if (!admission_[inst.service].q.empty())
             maybeDispatchQueued(services_[inst.service]);
         return;
@@ -490,7 +490,7 @@ Orchestrator::completeRequest(InstanceId id)
     const auto it = std::find(act.begin(), act.end(), id);
     EAAO_ASSERT(it != act.end(), "active instance missing from list");
     act.erase(it);
-    routing_.remove(id);
+    routing_.remove(svc.id, id);
     settleActiveTime(inst);
     inst.state = InstanceState::Idle;
     inst.state_since = eq_.now();
@@ -543,7 +543,7 @@ Orchestrator::restartInstance(InstanceId id)
         InstanceRecord &inst = instances_[fresh];
         auto &act = svc.active;
         act.erase(std::find(act.begin(), act.end(), fresh));
-        routing_.remove(fresh);
+        routing_.remove(svc.id, fresh);
         settleActiveTime(inst);
         inst.state = InstanceState::Idle;
         inst.state_since = eq_.now();
@@ -843,7 +843,7 @@ Orchestrator::terminate(InstanceRecord &inst)
         const auto it = std::find(act.begin(), act.end(), inst.id);
         if (it != act.end()) {
             act.erase(it);
-            routing_.remove(inst.id);
+            routing_.remove(svc.id, inst.id);
         }
     }
     // Callers handling Idle instances remove them from svc.idle.
@@ -1136,7 +1136,7 @@ Orchestrator::rebindEvent(std::uint32_t kind, std::uint64_t arg)
 }
 
 void
-Orchestrator::rebuildDerivedState()
+Orchestrator::rebuildDerivedState(std::uint64_t routing_next_seq)
 {
     // Restores bypass deployService; queue contents (if any) are
     // restored separately by the snapshotter after this runs.
@@ -1144,21 +1144,21 @@ Orchestrator::rebuildDerivedState()
     acct_host_load_.assign(accounts_.size(), {});
     svc_host_load_.assign(services_.size(), {});
     acct_active_.assign(accounts_.size(), {});
-    // Keep the restored activation counter; re-key every Active
-    // instance with its original route_seq.
-    routing_.resetForRestore(routing_.nextSeq());
+    std::vector<RoutingIndex::Restored> routed;
     for (const InstanceRecord &inst : instances_) {
         if (inst.state == InstanceState::Terminated)
             continue;
         ++acct_host_load_[inst.account].at(inst.host);
         ++svc_host_load_[inst.service].at(inst.host);
         if (inst.state == InstanceState::Active) {
-            routing_.insertRestored(inst.service, inst.id, inst.in_flight,
-                                    inst.route_seq);
+            routed.push_back(RoutingIndex::Restored{
+                inst.service, inst.id, inst.in_flight, inst.route_seq});
             // instances_ is id-ordered, so pushes arrive sorted.
             acct_active_[inst.account].push_back(inst.id);
         }
     }
+    // Re-lay every Active instance's slot out by its original route_seq.
+    routing_.restore(routing_next_seq, routed);
     base_index_.assign(accounts_.size(), {});
     for (const AccountRecord &acct : accounts_) {
         const support::HostMap &loads = acct_host_load_[acct.id];

@@ -451,13 +451,13 @@ class Orchestrator
 
     /**
      * Rebuild every derived table (per-account and per-service host
-     * counts, routing-index entries, per-account active sets, the
-     * accounts' placement min-views) from the restored primary
-     * records, in O(instances + base-order hosts); service views
-     * restore unbuilt. The routing index's next_seq must already be
-     * restored.
+     * counts, routing slots, per-account active sets, the accounts'
+     * placement min-views) from the restored primary records, in
+     * O(instances log instances + base-order hosts); service views
+     * restore unbuilt. @p routing_next_seq is the restored activation
+     * counter.
      */
-    void rebuildDerivedState();
+    void rebuildDerivedState(std::uint64_t routing_next_seq);
 
     /** Current hotness level of a service (0 = cold). */
     std::uint32_t hotness(const ServiceRecord &svc) const;

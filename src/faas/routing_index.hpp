@@ -5,82 +5,90 @@
  * `routeRequest` used to scan a service's whole active list per
  * request to find the least-loaded instance with spare concurrency —
  * O(active instances) per request, the dominant cost of request-heavy
- * campaigns. This index keeps one indexed 4-ary min-heap per service,
- * keyed `(in_flight, activation seq)`, plus a position vector indexed
- * by instance id, so the least-loaded routable instance is the heap
- * front and an `in_flight` change is one in-place sift: no node is
- * freed or allocated per request (heap storage only grows to the
- * service's peak active count).
+ * campaigns. This index keeps one support::MinLoadTree per service
+ * over *activation slots*: an instance takes its service's next slot
+ * when it activates, the slot's leaf holds its `in_flight`, and a
+ * position vector indexed by instance id finds the slot again. An
+ * `in_flight` change or a deactivation is one leaf update, and the
+ * least-loaded routable instance is one left-first descent. Nothing
+ * is allocated per request. Callers name the instance's service, so
+ * the position vector holds only a 4-byte slot per instance id.
+ *
+ * A deactivated instance leaves a vacant slot (padding load). When a
+ * service's slot table is full, its live slots are renumbered, in
+ * order, into a table twice the live count: each compaction costs
+ * O(live) and leaves as many free slots, so activation stays
+ * amortized O(1). Table storage is kept across restores.
  *
  * Determinism: a linear scan (testkit::referenceWarmTarget) picks the
  * *first* instance in active-list order among those with the minimal
  * `in_flight`. An instance's position in the active list is fixed at
  * activation (entries are only appended and erased, never reordered),
  * so a monotonically increasing activation sequence number reproduces
- * the list order exactly — the heap's `(in_flight, seq)` minimum is the
- * same instance the scan finds, byte for byte. Keys are unique, so the
- * minimum does not depend on the heap's internal layout (insertion
- * order, restore order).
+ * the list order exactly. Slots are handed out in that same order and
+ * compaction never reorders them, so slot order is `seq` order, and
+ * the tree's first minimal leaf is the first instance with the minimal
+ * `in_flight` — the instance the scan finds, byte for byte. Vacancies
+ * and table sizes never win a descent, so the answer does not depend
+ * on the slot layout either. `seq` is what a checkpoint persists
+ * (`InstanceRecord::route_seq`); restore() re-lays the slots out in
+ * `seq` order from Active instances given in any order.
  */
 
 #ifndef EAAO_FAAS_ROUTING_INDEX_HPP
 #define EAAO_FAAS_ROUTING_INDEX_HPP
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "faas/types.hpp"
 #include "support/logging.hpp"
+#include "support/min_load_tree.hpp"
 
 namespace eaao::faas {
 
-/** Per-service least-loaded heaps over active instances. */
+/** Per-service least-loaded tournaments over activation slots. */
 class RoutingIndex
 {
   public:
+    /** An Active instance as a checkpoint restores it. */
+    struct Restored
+    {
+        ServiceId service;
+        InstanceId id;
+        std::uint32_t in_flight;
+        std::uint64_t seq; //!< its persisted activation key
+    };
+
     /** Register a newly activated instance; returns its sequence key. */
     std::uint64_t
     add(ServiceId service, InstanceId id, std::uint32_t in_flight)
     {
-        const std::uint64_t seq = next_seq_++;
-        insertRestored(service, id, in_flight, seq);
-        return seq;
+        place(service, id, in_flight);
+        return next_seq_++;
     }
 
-    /** Re-key indexed instance @p id after its in_flight changed. */
+    /** Re-key indexed instance @p id of @p service after its
+     *  in_flight changed. */
     void
-    reindex(InstanceId id, std::uint32_t in_flight)
+    reindex(ServiceId service, InstanceId id, std::uint32_t in_flight)
     {
-        const Where w = where_[id];
-        std::vector<Entry> &heap = heaps_[w.service];
-        Entry e = heap[w.pos];
-        const bool up = in_flight < e.in_flight;
-        e.in_flight = in_flight;
-        if (up)
-            siftUp(heap, w.pos, e);
-        else
-            siftDown(heap, w.pos, e);
+        pools_[service].tree.update(slot_[id], in_flight);
     }
 
-    /** Drop indexed instance @p id (it is deactivating). */
+    /** Drop indexed instance @p id of @p service (it is deactivating). */
     void
-    remove(InstanceId id)
+    remove(ServiceId service, InstanceId id)
     {
-        Where &w = where_[id];
-        EAAO_ASSERT(w.pos != kAbsent, "instance ", id, " is not indexed");
-        std::vector<Entry> &heap = heaps_[w.service];
-        const std::uint32_t pos = w.pos;
-        w.pos = kAbsent;
-        const Entry last = heap.back();
-        heap.pop_back();
-        if (pos == heap.size())
-            return;
-        // Refill the hole with the former last entry, in whichever
-        // direction its key moves relative to the removed one.
-        if (pos > 0 && earlier(last, heap[(pos - 1) / 4]))
-            siftUp(heap, pos, last);
-        else
-            siftDown(heap, pos, last);
+        std::uint32_t &slot = slot_[id];
+        EAAO_ASSERT(slot != kAbsent, "instance ", id, " is not indexed");
+        Pool &pool = pools_[service];
+        pool.tree.update(slot, support::MinLoadTree::kInf);
+        --pool.live;
+        slot = kAbsent;
     }
 
     /**
@@ -90,10 +98,12 @@ class RoutingIndex
     InstanceId
     leastLoaded(ServiceId service, std::uint32_t max_concurrency) const
     {
-        if (service >= heaps_.size() || heaps_[service].empty())
+        if (service >= pools_.size())
             return kNoInstance;
-        const Entry &top = heaps_[service].front();
-        return top.in_flight < max_concurrency ? top.id : kNoInstance;
+        const Pool &pool = pools_[service];
+        const std::optional<std::size_t> slot =
+            pool.tree.firstMinBelow(max_concurrency);
+        return slot ? pool.ids[*slot] : kNoInstance;
     }
 
     /** Indexed instances across all services. */
@@ -101,120 +111,108 @@ class RoutingIndex
     size() const
     {
         std::size_t n = 0;
-        for (const std::vector<Entry> &heap : heaps_)
-            n += heap.size();
+        for (const Pool &pool : pools_)
+            n += pool.live;
         return n;
+    }
+
+    /** Slot-table compactions @p service has gone through. */
+    std::uint64_t
+    compactions(ServiceId service) const
+    {
+        return service < pools_.size() ? pools_[service].compactions : 0;
     }
 
     /** Next activation sequence key (checkpoint capture). */
     std::uint64_t nextSeq() const { return next_seq_; }
 
     /**
-     * Reset to an empty index with @p next_seq as the next activation
-     * key; entries are re-inserted from restored instance records via
-     * insertRestored() (checkpoint restore). Heap storage is kept.
+     * Checkpoint restore: index exactly the instances in @p active
+     * (any order; sorted here by service and key) with @p next_seq as
+     * the next activation key. Table storage is kept.
      */
     void
-    resetForRestore(std::uint64_t next_seq)
+    restore(std::uint64_t next_seq, std::vector<Restored> &active)
     {
-        for (std::vector<Entry> &heap : heaps_)
-            heap.clear();
-        where_.clear();
+        for (Pool &pool : pools_) {
+            pool.ids.clear();
+            pool.tree.assign(0, [](std::size_t) { return 0u; });
+            pool.live = 0;
+        }
+        slot_.clear();
         next_seq_ = next_seq;
-    }
-
-    /** Insert an entry with its original sequence key (any order). */
-    void
-    insertRestored(ServiceId service, InstanceId id, std::uint32_t in_flight,
-                   std::uint64_t seq)
-    {
-        EAAO_ASSERT(id < kAbsent, "instance id ", id, " out of range");
-        if (service >= heaps_.size())
-            heaps_.resize(service + std::size_t{1});
-        if (id >= where_.size())
-            where_.resize(id + 1, Where{0, kAbsent});
-        EAAO_ASSERT(where_[id].pos == kAbsent, "instance ", id,
-                    " indexed twice");
-        std::vector<Entry> &heap = heaps_[service];
-        where_[id].service = service;
-        heap.emplace_back();
-        siftUp(heap, static_cast<std::uint32_t>(heap.size() - 1),
-               Entry{seq, in_flight, static_cast<std::uint32_t>(id)});
+        std::sort(active.begin(), active.end(),
+                  [](const Restored &a, const Restored &b) {
+                      return std::tie(a.service, a.seq, a.id) <
+                             std::tie(b.service, b.seq, b.id);
+                  });
+        for (const Restored &r : active)
+            place(r.service, r.id, r.in_flight);
     }
 
   private:
-    /** One heap entry: key (in_flight, seq), payload id. 16 bytes. */
-    struct Entry
+    /** One service's slot table and its tournament. */
+    struct Pool
     {
-        std::uint64_t seq;
-        std::uint32_t in_flight;
-        std::uint32_t id;
+        support::MinLoadTree tree;      //!< leaf = a slot's in_flight
+        std::vector<std::uint32_t> ids; //!< instance id by slot in use
+        std::uint32_t live = 0;         //!< slots not vacant
+        std::uint64_t compactions = 0;
     };
 
-    /** Where an instance's entry sits; pos kAbsent = not indexed. */
-    struct Where
-    {
-        ServiceId service;
-        std::uint32_t pos;
-    };
+    static constexpr std::uint32_t kAbsent = ~0u; //!< not indexed
+    /** Smallest slot table, so small pools do not compact per add. */
+    static constexpr std::size_t kMinSlots = 4;
 
-    static constexpr std::uint32_t kAbsent = ~0u;
-
-    static bool
-    earlier(const Entry &a, const Entry &b)
+    /** Give @p id its service's next slot. */
+    void
+    place(ServiceId service, InstanceId id, std::uint32_t in_flight)
     {
-        if (a.in_flight != b.in_flight)
-            return a.in_flight < b.in_flight;
-        return a.seq < b.seq;
+        EAAO_ASSERT(id < kAbsent, "instance id ", id, " out of range");
+        if (service >= pools_.size())
+            pools_.resize(service + std::size_t{1});
+        if (id >= slot_.size())
+            slot_.resize(id + 1, kAbsent);
+        EAAO_ASSERT(slot_[id] == kAbsent, "instance ", id, " indexed twice");
+        Pool &pool = pools_[service];
+        if (pool.ids.size() == pool.tree.size())
+            compact(pool);
+        const auto slot = static_cast<std::uint32_t>(pool.ids.size());
+        pool.ids.push_back(static_cast<std::uint32_t>(id));
+        pool.tree.update(slot, in_flight);
+        ++pool.live;
+        slot_[id] = slot;
     }
 
-    /** Place @p e at hole @p i, moving it toward the root. */
+    /** Renumber @p pool's live slots, in order, into a table twice
+     *  their count. */
     void
-    siftUp(std::vector<Entry> &heap, std::uint32_t i, const Entry &e)
+    compact(Pool &pool)
     {
-        while (i > 0) {
-            const std::uint32_t parent = (i - 1) / 4;
-            if (!earlier(e, heap[parent]))
-                break;
-            put(heap, i, heap[parent]);
-            i = parent;
+        loads_.clear();
+        for (std::size_t s = 0; s < pool.ids.size(); ++s) {
+            const std::uint32_t load = pool.tree.load(s);
+            if (load == support::MinLoadTree::kInf)
+                continue;
+            const std::uint32_t id = pool.ids[s];
+            slot_[id] = static_cast<std::uint32_t>(loads_.size());
+            pool.ids[loads_.size()] = id;
+            loads_.push_back(load);
         }
-        put(heap, i, e);
-    }
-
-    /** Place @p e at hole @p i, moving it toward the leaves. */
-    void
-    siftDown(std::vector<Entry> &heap, std::uint32_t i, const Entry &e)
-    {
-        const std::size_t n = heap.size();
-        while (true) {
-            const std::size_t first = std::size_t{4} * i + 1;
-            if (first >= n)
-                break;
-            const std::size_t end = first + 4 < n ? first + 4 : n;
-            std::size_t best = first;
-            for (std::size_t c = first + 1; c < end; ++c) {
-                if (earlier(heap[c], heap[best]))
-                    best = c;
-            }
-            if (!earlier(heap[best], e))
-                break;
-            put(heap, i, heap[best]);
-            i = static_cast<std::uint32_t>(best);
-        }
-        put(heap, i, e);
-    }
-
-    void
-    put(std::vector<Entry> &heap, std::uint32_t i, const Entry &e)
-    {
-        heap[i] = e;
-        where_[e.id].pos = i;
+        pool.ids.resize(loads_.size());
+        pool.tree.assign(std::max(2 * loads_.size(), kMinSlots),
+                         [this](std::size_t s) {
+                             return s < loads_.size()
+                                        ? loads_[s]
+                                        : support::MinLoadTree::kInf;
+                         });
+        ++pool.compactions;
     }
 
     std::uint64_t next_seq_ = 1;
-    std::vector<std::vector<Entry>> heaps_; //!< per service
-    std::vector<Where> where_;              //!< by instance id
+    std::vector<Pool> pools_;           //!< per service
+    std::vector<std::uint32_t> slot_;   //!< by instance id
+    std::vector<std::uint32_t> loads_;  //!< compaction scratch
 };
 
 } // namespace eaao::faas

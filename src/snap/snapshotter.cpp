@@ -7,8 +7,8 @@
  * prefixes, instances, RNG position, routing sequence counter, the
  * host-load table's entries in first-touch order) are stored verbatim
  * — every double as its IEEE-754 bit pattern — while the *derived*
- * tables (per-account and per-service host counts, routing-index
- * entries, per-account active sets, placement min-views) are rebuilt
+ * tables (per-account and per-service host counts, routing slots,
+ * per-account active sets, placement min-views) are rebuilt
  * deterministically by Orchestrator::rebuildDerivedState() after
  * restore. Nothing in the image is sized by the fleet. Event-queue
  * callbacks are serialized as EventTags and rebound through
@@ -1120,8 +1120,7 @@ Snapshotter::restoreLane(SectionReader &in,
     orch.instances_ = std::move(instances);
     orch.admission_ = std::move(admission);
     orch.slo_ = std::move(slo);
-    orch.routing_.resetForRestore(routing_next_seq);
-    orch.rebuildDerivedState();
+    orch.rebuildDerivedState(routing_next_seq);
     orch.host_load_ = std::move(delta);
 
     lane.eq.importImage(img, [&orch](std::uint32_t kind, std::uint64_t arg) {

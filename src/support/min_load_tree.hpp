@@ -2,13 +2,16 @@
  * @file
  * Tournament tree over per-position load counters.
  *
- * The orchestrator's placement decisions repeatedly ask "which is the
- * first position within a prefix of this preference order whose load
- * is minimal (and whose host still has capacity)?". Re-scanning the
- * prefix per decision made placement O(prefix) with a map lookup per
- * candidate; this tree answers the same query in O(log n) for the
- * common case, with loads updated incrementally as instances come and
- * go.
+ * The orchestrator keeps two kinds of tree. Placement views
+ * (faas/placement_index.hpp) ask "which is the first position within
+ * a prefix of this preference order whose load is minimal (and whose
+ * host still has capacity)?"; re-scanning the prefix per decision made
+ * placement O(prefix) with a map lookup per candidate. Routing
+ * (faas/routing_index.hpp) asks "which is the first activation slot
+ * carrying the minimal in-flight count, if that count is below the
+ * concurrency limit?" on every request. The tree answers both in
+ * O(log n) for the common case, with loads updated incrementally as
+ * instances come and go.
  *
  * The tree is a perfect binary tree over the positions padded to a
  * power of two: leaf `size + i` holds position i's load, padding
@@ -16,9 +19,10 @@
  * minimum load of its subtree (4 bytes per node). Queries descend
  * left-first, so leaves are reached in position order and a later
  * leaf can only win with a strictly smaller load: the tree's answer is
- * exactly the *first* position carrying the minimal load, the host a
- * first-strict-improvement linear scan selects, which is what keeps
- * indexed placement equal to testkit's brute-force reference.
+ * exactly the *first* position carrying the minimal load, the host (or
+ * instance) a first-strict-improvement linear scan selects, which is
+ * what keeps indexed placement and routing equal to testkit's
+ * brute-force references.
  */
 
 #ifndef EAAO_SUPPORT_MIN_LOAD_TREE_HPP
@@ -39,6 +43,9 @@ namespace eaao::support {
 class MinLoadTree
 {
   public:
+    /** Padding load; no live-instance count reaches it. */
+    static constexpr std::uint32_t kInf = ~0u;
+
     /** Rebuild over @p loads (position i gets loads[i]). */
     void
     assign(const std::vector<std::uint32_t> &loads)
@@ -67,14 +74,19 @@ class MinLoadTree
     /** The load at position @p pos. */
     std::uint32_t load(std::size_t pos) const { return tree_[size_ + pos]; }
 
-    /** Set position @p pos to @p load; O(log n). */
+    /**
+     * Set position @p pos to @p load; O(log n). The running minimum
+     * stays in a register, so each level reads only the sibling.
+     */
     void
     update(std::size_t pos, std::uint32_t load)
     {
         std::size_t node = size_ + pos;
         tree_[node] = load;
-        for (node /= 2; node >= 1; node /= 2)
-            tree_[node] = std::min(tree_[2 * node], tree_[2 * node + 1]);
+        for (; node > 1; node /= 2) {
+            load = std::min(load, tree_[node ^ 1]);
+            tree_[node / 2] = load;
+        }
     }
 
     /**
@@ -100,10 +112,26 @@ class MinLoadTree
         return best_pos;
     }
 
-  private:
-    /** Padding load; no live-instance count reaches it. */
-    static constexpr std::uint32_t kInf = ~0u;
+    /**
+     * First position carrying the minimal load, if that load is below
+     * @p bound; nullopt otherwise (and for an empty or all-padding
+     * tree, since no bound exceeds kInf). One left-first descent.
+     */
+    std::optional<std::size_t>
+    firstMinBelow(std::uint32_t bound) const
+    {
+        if (n_ == 0 || tree_[1] >= bound)
+            return std::nullopt;
+        // Every node on the way down carries the root's minimum; go
+        // right only when the left child does not.
+        const std::uint32_t min = tree_[1];
+        std::size_t node = 1;
+        while (node < size_)
+            node = 2 * node + (tree_[2 * node] != min);
+        return node - size_;
+    }
 
+  private:
     /**
      * Left-first descent pruned by the best accepted load so far. A
      * subtree that lies wholly beyond the prefix, or whose minimum

@@ -68,8 +68,10 @@ TEST(ErrorHandling, HostileDirectiveTokensFailBeforeAnyTrial)
         const char *to;
         const char *message;
     };
-    // Each bad line is the last of its kind, so a program that ran
-    // the good lines' trials first would simulate events.
+    // Each bad directive line is the last of its kind, so a program
+    // that ran the good lines' trials first would simulate events. The
+    // key lines and loadgen's tenants must be refused before any
+    // platform is built: at the parent they crashed or wrapped.
     const Case cases[] = {
         {"sec52_account_scaling", "point 3 6 10", "point 1 x 1000",
          "'point' expects a number, got 'x'"},
@@ -86,6 +88,22 @@ TEST(ErrorHandling, HostileDirectiveTokensFailBeforeAnyTrial)
         {"fig08_exp3_accounts", "schedule = 0 0 1 1 2 2",
          "schedule = 0 0 1 1 2 3",
          "schedule names account 3 (0-based), but [tenants] declares 3"},
+        {"fig12_cluster_size", "profiles = us-east1 us-central1 us-west1",
+         "profiles = us-west1",
+         "'profiles' expects 3 data-center profiles, got 1"},
+        {"fig05_expiration_cdf", "profiles = us-east1 us-central1 us-west1",
+         "profiles = us-west1",
+         "'profiles' expects 3 data-center profiles, got 1"},
+        {"fig05_expiration_cdf", "hours = 168", "hours = 3000000000",
+         "'hours' expects an integer in 0..8760, got '3000000000'"},
+        {"fig08_exp3_accounts", "interval_minutes = 45",
+         "interval_minutes = 3000000000",
+         "'interval_minutes' expects an integer in 0..525600, got "
+         "'3000000000'"},
+        {"loadgen_slo_sweep", "account 3 1000", "account 99999 1000",
+         "home shard 99999 is out of range: us-east1 has shards 0..909"},
+        {"loadgen_slo_sweep", "account 3 1000", "account 3 1e20",
+         "'account' expects an integer in 0..4294967295, got '1e20'"},
     };
     for (const Case &c : cases) {
         std::size_t line_no = 0;

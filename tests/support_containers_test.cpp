@@ -1,8 +1,8 @@
 /**
  * @file
  * Property tests for the containers backing the orchestrator's hot
- * paths: SmallFlatMap against std::map, MinLoadTree against a
- * brute-force prefix scan, the routing index's per-service heaps
+ * paths: SmallFlatMap against std::map, MinLoadTree against
+ * brute-force scans, the routing index's per-service slot tournaments
  * against the reference route scan, under long random operation
  * sequences, and BlockVector (the instance table) against std::vector.
  */
@@ -113,6 +113,19 @@ referenceMinInPrefix(const std::vector<std::uint32_t> &loads,
     return best;
 }
 
+/** Brute-force reference for MinLoadTree::firstMinBelow. */
+std::optional<std::size_t>
+referenceFirstMinBelow(const std::vector<std::uint32_t> &loads,
+                       std::uint32_t bound)
+{
+    std::optional<std::size_t> best;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+        if (loads[i] < bound && (!best || loads[i] < loads[*best]))
+            best = i;
+    }
+    return best;
+}
+
 TEST(MinLoadTreeProperty, MatchesBruteForceOverRandomOps)
 {
     sim::Rng rng(5150);
@@ -130,7 +143,7 @@ TEST(MinLoadTreeProperty, MatchesBruteForceOverRandomOps)
     std::vector<bool> full(kPositions, false);
 
     for (int op = 0; op < 10'000; ++op) {
-        switch (rng.uniformInt(3)) {
+        switch (rng.uniformInt(4)) {
         case 0: { // load update
             const auto pos =
                 static_cast<std::size_t>(rng.uniformInt(kPositions));
@@ -146,7 +159,7 @@ TEST(MinLoadTreeProperty, MatchesBruteForceOverRandomOps)
             full[pos] = !full[pos];
             break;
         }
-        default: { // query a random prefix (incl. 0 and > size)
+        case 2: { // query a random prefix (incl. 0 and > size)
             const auto prefix =
                 static_cast<std::size_t>(rng.uniformInt(kPositions + 10));
             const auto accept = [&](std::size_t i) { return !full[i]; };
@@ -155,8 +168,33 @@ TEST(MinLoadTreeProperty, MatchesBruteForceOverRandomOps)
                 << "op " << op << " prefix " << prefix;
             break;
         }
+        default: { // first minimal position below a random bound
+            const auto bound =
+                static_cast<std::uint32_t>(rng.uniformInt(14));
+            ASSERT_EQ(tree.firstMinBelow(bound),
+                      referenceFirstMinBelow(loads, bound))
+                << "op " << op << " bound " << bound;
+            // At the minimum nothing qualifies; one above, it does.
+            const std::uint32_t min =
+                *std::min_element(loads.begin(), loads.end());
+            ASSERT_EQ(tree.firstMinBelow(min), std::nullopt) << "op " << op;
+            ASSERT_EQ(tree.firstMinBelow(min + 1),
+                      referenceFirstMinBelow(loads, min + 1))
+                << "op " << op;
+            break;
+        }
         }
     }
+
+    // Vacate every position, one leaf at a time (routing's remove):
+    // an all-padding tree has no minimum below any bound.
+    for (std::size_t pos = 0; pos < kPositions; ++pos) {
+        tree.update(pos, MinLoadTree::kInf);
+        loads[pos] = MinLoadTree::kInf;
+        ASSERT_EQ(tree.firstMinBelow(12), referenceFirstMinBelow(loads, 12))
+            << "vacated through " << pos;
+    }
+    EXPECT_EQ(tree.firstMinBelow(MinLoadTree::kInf), std::nullopt);
 }
 
 TEST(MinLoadTreeProperty, EmptyAndDegenerateCases)
@@ -164,6 +202,7 @@ TEST(MinLoadTreeProperty, EmptyAndDegenerateCases)
     MinLoadTree tree;
     const auto any = [](std::size_t) { return true; };
     EXPECT_EQ(tree.minInPrefix(5, any), std::nullopt);
+    EXPECT_EQ(tree.firstMinBelow(5), std::nullopt);
 
     tree.assign({3});
     EXPECT_EQ(tree.minInPrefix(0, any), std::nullopt);
@@ -172,9 +211,13 @@ TEST(MinLoadTreeProperty, EmptyAndDegenerateCases)
     const auto none = [](std::size_t) { return false; };
     EXPECT_EQ(tree.minInPrefix(1, none), std::nullopt);
 
+    EXPECT_EQ(tree.firstMinBelow(4), std::optional<std::size_t>{0});
+    EXPECT_EQ(tree.firstMinBelow(3), std::nullopt);
+
     // Ties break toward the first position, matching a linear scan.
     tree.assign({5, 5, 5});
     EXPECT_EQ(tree.minInPrefix(3, any), std::optional<std::size_t>{0});
+    EXPECT_EQ(tree.firstMinBelow(6), std::optional<std::size_t>{0});
     const auto skip0 = [](std::size_t i) { return i != 0; };
     EXPECT_EQ(tree.minInPrefix(3, skip0), std::optional<std::size_t>{1});
 }
@@ -225,26 +268,34 @@ TEST(RoutingIndexProperty, MatchesReferenceScanOverRandomOps)
         return static_cast<std::size_t>(rng.uniformInt(std::uint64_t{n}));
     };
 
+    // Slot-table compactions per service before the restore, and
+    // counted from just after it.
+    std::vector<std::uint64_t> before(kServices), restored(kServices);
+
     for (int op = 0; op < 10'000; ++op) {
         const auto svc = static_cast<faas::ServiceId>(pick(kServices));
         std::vector<RoutedInstance> &act = active[svc];
         if (op == 5'000) {
-            // Checkpoint restore: same next seq, entries re-inserted
+            // Checkpoint restore: same next seq, entries handed over
             // in shuffled order with their original keys.
-            std::vector<std::pair<faas::ServiceId, RoutedInstance>> all;
+            std::vector<faas::RoutingIndex::Restored> all;
             for (faas::ServiceId s = 0; s < kServices; ++s) {
+                before[s] = index.compactions(s);
                 for (const RoutedInstance &r : active[s])
-                    all.emplace_back(s, r);
+                    all.push_back({s, r.id, r.in_flight, seq_of[r.id]});
             }
             for (std::size_t i = all.size(); i > 1; --i)
                 std::swap(all[i - 1], all[pick(i)]);
-            index.resetForRestore(index.nextSeq());
-            ASSERT_EQ(index.size(), 0u);
-            for (const auto &[s, r] : all)
-                index.insertRestored(s, r.id, r.in_flight, seq_of[r.id]);
+            index.restore(index.nextSeq(), all);
             ASSERT_EQ(index.size(), indexed);
+            for (faas::ServiceId s = 0; s < kServices; ++s)
+                restored[s] = index.compactions(s);
         }
-        switch (pick(6)) {
+        // Service 0 churns: half its ops activate or deactivate.
+        std::size_t action = pick(6);
+        if (svc == 0 && rng.bernoulli(0.5))
+            action = rng.bernoulli(0.5) ? 0 : 3;
+        switch (action) {
         case 0: { // activate: a fresh instance or an idle one
             faas::InstanceId id = next_id;
             if (!idle[svc].empty() && rng.bernoulli(0.5)) {
@@ -273,14 +324,14 @@ TEST(RoutingIndexProperty, MatchesReferenceScanOverRandomOps)
                 --r.in_flight;
             else
                 ++r.in_flight;
-            index.reindex(r.id, r.in_flight);
+            index.reindex(svc, r.id, r.in_flight);
             break;
         }
         case 3: { // deactivate
             if (act.empty())
                 break;
             const std::size_t k = pick(act.size());
-            index.remove(act[k].id);
+            index.remove(svc, act[k].id);
             idle[svc].push_back(act[k].id);
             act.erase(act.begin() + static_cast<std::ptrdiff_t>(k));
             --indexed;
@@ -301,6 +352,10 @@ TEST(RoutingIndexProperty, MatchesReferenceScanOverRandomOps)
         for (std::uint32_t limit = 1; limit <= 8; ++limit)
             EXPECT_EQ(index.leastLoaded(s, limit),
                       referenceLeastLoaded(active[s], limit));
+        // Every service's slots were renumbered repeatedly on both
+        // sides of the restore, under the routes checked above.
+        EXPECT_GE(before[s], 3u) << "service " << s;
+        EXPECT_GE(index.compactions(s) - restored[s], 3u) << "service " << s;
     }
     EXPECT_EQ(index.leastLoaded(kServices + 3, 4), faas::kNoInstance);
 }
