@@ -49,6 +49,19 @@ profileOf(const CampaignSpec &spec, const std::string &section,
     return profileByName(spec, name, line->line_no);
 }
 
+void
+checkSpan(const CampaignSpec &spec, std::size_t line_no,
+          std::uint64_t count, const char *steps, std::uint64_t minutes)
+{
+    // count * minutes > kMaxSpanMinutes, without forming the product.
+    if (minutes != 0 && count > kMaxSpanMinutes / minutes) {
+        spec.fail(line_no, std::to_string(count) + " " + steps + " x " +
+                               std::to_string(minutes) +
+                               " minutes spans more than a century of "
+                               "simulated time");
+    }
+}
+
 std::uint32_t
 homeShard(const CampaignSpec &spec, const SpecLine &line, std::size_t index,
           const faas::DataCenterProfile &profile)

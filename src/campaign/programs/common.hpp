@@ -26,6 +26,23 @@ inline constexpr std::uint32_t kMaxMinutes = 365 * 24 * 60;
 inline constexpr std::uint32_t kMaxHours = 365 * 24;
 
 /**
+ * Longest simulated span a program may lay out (a century, in
+ * minutes), well inside SimTime's range of about 292 years.
+ */
+inline constexpr std::uint64_t kMaxSpanMinutes = 100ULL * 365 * 24 * 60;
+
+/**
+ * Refuse @p count steps of @p minutes each (@p steps names what is
+ * counted) when together they span more than kMaxSpanMinutes: each key
+ * can sit inside its bound while the product runs past SimTime's
+ * range. Throws SpecError at @p line_no, the line that pushes the span
+ * over; programs call it before they build a platform.
+ */
+void checkSpan(const CampaignSpec &spec, std::size_t line_no,
+               std::uint64_t count, const char *steps,
+               std::uint64_t minutes);
+
+/**
  * The paper-calibrated preset named @p name (us-east1 / us-central1 /
  * us-west1). Throws SpecError at @p line_no of @p spec otherwise.
  */

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "campaign/programs/common.hpp"
@@ -30,6 +31,9 @@
 #include "stats/summary.hpp"
 
 namespace {
+
+/** Shortest fingerprint history the CDF counts, hours. */
+constexpr int kMinHistoryHours = 24;
 
 struct Fig05Knobs
 {
@@ -103,7 +107,7 @@ runDataCenter(const eaao::faas::DataCenterProfile &profile,
     DcResult result;
     result.name = profile.name;
     for (const auto &history : closed) {
-        if (history.span() < sim::Duration::hours(24))
+        if (history.span() < sim::Duration::hours(kMinHistoryHours))
             continue;
         ++result.histories;
         const stats::LinearFit fit = history.fitDrift();
@@ -128,6 +132,15 @@ EAAO_CAMPAIGN_PROGRAM(fig05_expiration_cdf)
     Fig05Knobs knobs;
     knobs.instances = spec.u32("workload", "instances");
     knobs.hours = spec.count("workload", "hours", campaign::kMaxHours);
+    const std::size_t hours_line =
+        spec.file().section("workload")->find("hours")->line_no;
+    if (knobs.hours < kMinHistoryHours) {
+        spec.fail(hours_line, "'hours' expects at least " +
+                                  std::to_string(kMinHistoryHours) +
+                                  " (shorter fingerprint histories are "
+                                  "not counted), got " +
+                                  std::to_string(knobs.hours));
+    }
     knobs.connect = spec.u32("workload", "connect");
     knobs.restart_prob_per_hour =
         spec.num("workload", "restart_prob_per_hour");
@@ -143,6 +156,17 @@ EAAO_CAMPAIGN_PROGRAM(fig05_expiration_cdf)
                                  knobs);
         },
         ctx.threads);
+    // Restarts can still cut every history short; an empty CDF has no
+    // quantiles to print.
+    for (const DcResult &result : results) {
+        if (result.histories == 0) {
+            spec.fail(hours_line,
+                      result.name + " has no fingerprint history of " +
+                          std::to_string(kMinHistoryHours) +
+                          " h or more; raise 'hours' or lower "
+                          "'restart_prob_per_hour'");
+        }
+    }
 
     core::TextTable table;
     table.header({"days", results[0].name, results[1].name,

@@ -70,16 +70,14 @@ EAAO_CAMPAIGN_PROGRAM(fig07_exp2_same_service)
     cfg.profile = campaign::profileOf(spec, "platform", "profile");
     cfg.seed = spec.u64("platform", "seed");
     cfg.obs = obs_set.observer(0);
-    faas::Platform platform(cfg);
-    const auto acct = platform.createAccount();
 
     const int launches = spec.count("workload", "launches");
     const int interval_min =
         spec.count("workload", "interval_minutes", campaign::kMaxMinutes);
 
     // variant <same_service|fresh_service> "<label>"
-    for (const campaign::SpecLine *line :
-         spec.directives("workload", "variant")) {
+    const auto variants = spec.directives("workload", "variant");
+    for (const campaign::SpecLine *line : variants) {
         if (line->tokens.size() != 3 ||
             (line->tokens[1] != "same_service" &&
              line->tokens[1] != "fresh_service")) {
@@ -87,6 +85,18 @@ EAAO_CAMPAIGN_PROGRAM(fig07_exp2_same_service)
                       "expected: variant <same_service|fresh_service> "
                       "\"<label>\"");
         }
+    }
+    // The variants launch back to back on one platform.
+    const std::size_t interval_line =
+        spec.file().section("workload")->find("interval_minutes")->line_no;
+    campaign::checkSpan(spec, interval_line,
+                        static_cast<std::uint64_t>(launches) *
+                            variants.size(),
+                        "launches", static_cast<std::uint64_t>(interval_min));
+
+    faas::Platform platform(cfg);
+    const auto acct = platform.createAccount();
+    for (const campaign::SpecLine *line : variants) {
         runVariant(platform, acct, line->tokens[1] == "fresh_service",
                    line->tokens[2].c_str(), launches, interval_min);
     }

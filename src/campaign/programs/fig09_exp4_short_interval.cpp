@@ -98,9 +98,14 @@ EAAO_CAMPAIGN_PROGRAM(fig09_exp4_short_interval)
         if (line->tokens.size() != 3)
             spec.fail(line->line_no,
                       "expected: <directive> <seed> <interval_min>");
-        return Run{spec.u64At(*line, 1),
-                   sim::Duration::minutes(
-                       spec.u32At(*line, 2, campaign::kMaxMinutes))};
+        const std::uint64_t seed = spec.u64At(*line, 1);
+        const std::uint32_t minutes =
+            spec.u32At(*line, 2, campaign::kMaxMinutes);
+        // Each run is its own platform, so each line has its own span.
+        campaign::checkSpan(spec, line->line_no,
+                            static_cast<std::uint64_t>(launches),
+                            "launches", minutes);
+        return Run{seed, sim::Duration::minutes(minutes)};
     };
     const Run main_arm = runOf(main_run[0]);
     std::vector<Run> control_runs;

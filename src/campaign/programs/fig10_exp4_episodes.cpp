@@ -33,12 +33,18 @@ EAAO_CAMPAIGN_PROGRAM(fig10_exp4_episodes)
     cfg.profile = campaign::profileOf(spec, "platform", "profile");
     cfg.seed = spec.u64("platform", "seed");
     cfg.obs = obs_set.observer(0);
-    faas::Platform platform(cfg);
-    const auto acct = platform.createAccount();
 
     const int episodes = spec.count("workload", "episodes");
     const int cooldown_min =
         spec.count("workload", "cooldown_minutes", campaign::kMaxMinutes);
+    campaign::checkSpan(
+        spec,
+        spec.file().section("workload")->find("cooldown_minutes")->line_no,
+        static_cast<std::uint64_t>(episodes), "episodes",
+        static_cast<std::uint64_t>(cooldown_min));
+
+    faas::Platform platform(cfg);
+    const auto acct = platform.createAccount();
 
     core::TextTable table;
     table.header({"episode", "apparent helper hosts",

@@ -30,9 +30,6 @@ EAAO_CAMPAIGN_PROGRAM(sec52_repeat_attack)
     faas::PlatformConfig cfg;
     cfg.profile = campaign::profileOf(spec, "platform", "profile");
     cfg.seed = spec.u64("platform", "seed");
-    faas::Platform p(cfg);
-    const auto attacker = p.createAccount(0);
-    const auto victim = p.createAccount(1);
 
     const std::uint32_t victim_count =
         spec.u32("verify", "victim_instances");
@@ -41,6 +38,17 @@ EAAO_CAMPAIGN_PROGRAM(sec52_repeat_attack)
     const int track_reps = spec.count("attack", "track_samples");
     const int track_gap_min =
         spec.count("attack", "track_gap_minutes", campaign::kMaxMinutes);
+    // Attack 1 tracks each recorded host in turn, and it records at
+    // most one host per victim instance.
+    campaign::checkSpan(
+        spec,
+        spec.file().section("attack")->find("track_gap_minutes")->line_no,
+        static_cast<std::uint64_t>(track_reps) * victim_count, "samples",
+        static_cast<std::uint64_t>(track_gap_min));
+
+    faas::Platform p(cfg);
+    const auto attacker = p.createAccount(0);
+    const auto victim = p.createAccount(1);
 
     // ---- Attack 1: co-locate and record victim hosts. ----
     const core::CampaignResult attack1 =

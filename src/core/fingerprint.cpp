@@ -18,7 +18,7 @@ namespace eaao::core {
 Gen1Reading
 readGen1(faas::SandboxView &sandbox)
 {
-    const std::string model = sandbox.cpuModelName();
+    const std::string &model = sandbox.cpuModelName();
     const double f = hw::SkuCatalog::labeledFrequencyHz(model);
     EAAO_ASSERT(f > 0.0,
                 "model string carries no labeled frequency: ", model);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "core/freq_estimator.hpp"
 #include "hw/cpu_sku.hpp"
@@ -83,17 +84,15 @@ launchAndObserve(faas::Platform &platform, faas::ServiceId service,
             const double reported =
                 hw::SkuCatalog::labeledFrequencyHz(
                     sandbox.cpuModelName());
-            const Gen1Reading reading =
-                reported > 0.0
-                    ? readGen1(sandbox)
-                    : readGen1WithFrequency(
-                          sandbox,
-                          measuredFrequencyHz(sandbox).mean_hz);
+            Gen1Reading reading = readGen1WithFrequency(
+                sandbox, reported > 0.0
+                             ? reported
+                             : measuredFrequencyHz(sandbox).mean_hz);
             const Gen1Fingerprint fp =
                 quantizeGen1(reading, opts.p_boot_s);
-            obs.readings.push_back(reading);
             obs.fp_keys.push_back(fingerprintKey(fp));
             obs.class_keys.push_back(hashString(reading.cpu_model));
+            obs.readings.push_back(std::move(reading));
         } else {
             const Gen2Fingerprint fp = readGen2(sandbox);
             obs.fp_keys.push_back(fingerprintKey(fp));

@@ -58,10 +58,10 @@ Fleet::Fleet(const DataCenterProfile &profile, const hw::TscConfig &tsc_cfg,
     EAAO_ASSERT(n > 0, "empty fleet");
     EAAO_ASSERT(profile.shard_size > 0, "zero shard size");
 
+    shard_size_ = profile.shard_size;
     shard_count_ = profile.shardCount();
     shard_hosts_.resize(shard_count_);
     hosts_.reserve(n);
-    shard_of_.resize(n);
     pop_rank_.resize(n);
 
     // Maintenance-wave instants in the recent past.
@@ -109,7 +109,6 @@ Fleet::Fleet(const DataCenterProfile &profile, const hw::TscConfig &tsc_cfg,
                             catalog_.get(sku_id), boot,
                             label_error.sample(rng), tsc_cfg, timing_cfg,
                             rng);
-        shard_of_[i] = shard;
         shard_hosts_[shard].push_back(static_cast<hw::HostId>(i));
     }
 
@@ -129,13 +128,6 @@ Fleet::Fleet(const DataCenterProfile &profile, const hw::TscConfig &tsc_cfg,
     }
 }
 
-hw::HostMachine &
-Fleet::host(hw::HostId id)
-{
-    EAAO_ASSERT(id < hosts_.size(), "bad host id ", id);
-    return hosts_[id];
-}
-
 const hw::HostMachine &
 Fleet::host(hw::HostId id) const
 {
@@ -143,11 +135,17 @@ Fleet::host(hw::HostId id) const
     return hosts_[id];
 }
 
+const hw::CpuSku &
+Fleet::sku(hw::HostId id) const
+{
+    return catalog_.get(host(id).skuId());
+}
+
 std::uint32_t
 Fleet::shardOf(hw::HostId id) const
 {
-    EAAO_ASSERT(id < shard_of_.size(), "bad host id ", id);
-    return shard_of_[id];
+    EAAO_ASSERT(id < hosts_.size(), "bad host id ", id);
+    return id / shard_size_;
 }
 
 const std::vector<hw::HostId> &

@@ -138,13 +138,16 @@ class Fleet
         return static_cast<std::uint32_t>(hosts_.size());
     }
 
-    /** Access a host (mutable: covert-channel pressure bookkeeping). */
-    hw::HostMachine &host(hw::HostId id);
-
-    /** Access a host read-only. */
+    /** Access a host. */
     const hw::HostMachine &host(hw::HostId id) const;
 
-    /** Shard index of a host. */
+    /**
+     * The SKU of host @p id: its cpuid model string, vCPUs and memory.
+     * Every host of a SKU shares this one record.
+     */
+    const hw::CpuSku &sku(hw::HostId id) const;
+
+    /** Shard index of a host: hosts fill shards in id order. */
     std::uint32_t shardOf(hw::HostId id) const;
 
     /** Number of shards. */
@@ -164,9 +167,9 @@ class Fleet
   private:
     hw::SkuCatalog catalog_;
     std::vector<hw::HostMachine> hosts_;
-    std::vector<std::uint32_t> shard_of_;
     std::vector<std::uint32_t> pop_rank_;
     std::vector<std::vector<hw::HostId>> shard_hosts_;
+    std::uint32_t shard_size_ = 0;
     std::uint32_t shard_count_ = 0;
 };
 

@@ -989,11 +989,11 @@ Orchestrator::ensureSpillPrefix(ServiceRecord &svc, std::size_t n)
 bool
 Orchestrator::hasCapacity(hw::HostId host, const ContainerSize &size) const
 {
-    const hw::HostMachine &machine = fleet_.host(host);
-    const double usable_vcpus = static_cast<double>(machine.vcpus()) *
-                                cfg_.host_usable_fraction;
+    const hw::CpuSku &sku = fleet_.sku(host);
+    const double usable_vcpus =
+        static_cast<double>(sku.vcpus) * cfg_.host_usable_fraction;
     const double usable_mem_gb =
-        machine.memoryGb() * cfg_.host_usable_memory_fraction;
+        sku.memory_gb * cfg_.host_usable_memory_fraction;
     double used_vcpus = host_load_.vcpus(host);
     double used_mem_gb = host_load_.memGb(host);
     if (committed_load_ != nullptr) {

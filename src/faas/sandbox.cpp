@@ -23,18 +23,18 @@ SandboxView::env() const
     return platform_->instanceInfo(id_).env;
 }
 
-std::string
+const std::string &
 SandboxView::cpuModelName() const
 {
+    // The hypervisor traps cpuid (Gen 2), or the Gen 1 mitigation masks
+    // it: the guest sees a virtualized stub that reveals neither the
+    // host model nor its base frequency.
+    static const std::string kVirtualCpu = "Virtual CPU";
     const InstanceRecord &inst = platform_->instanceInfo(id_);
-    if (inst.env == ExecEnv::Gen2) {
-        // The hypervisor traps cpuid; the guest sees a virtualized stub
-        // that reveals neither the host model nor its base frequency.
-        return "Virtual CPU";
-    }
-    if (platform_->config().tsc_defense.gen1_mask_cpuid)
-        return "Virtual CPU";
-    return platform_->fleet().host(inst.host).modelName();
+    if (inst.env == ExecEnv::Gen2 ||
+        platform_->config().tsc_defense.gen1_mask_cpuid)
+        return kVirtualCpu;
+    return platform_->fleet().sku(inst.host).model_name;
 }
 
 TimestampSample
@@ -81,7 +81,7 @@ SandboxView::readTimestamp()
                              : 0;
         }
     }
-    sample.wall = host.sampleWallClock(now, rng);
+    sample.wall = hw::sampleWallClock(platform_->config().timing, now, rng);
     return sample;
 }
 

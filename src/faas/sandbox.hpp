@@ -51,9 +51,12 @@ class SandboxView
 
     /**
      * CPU model string via cpuid. Gen 1 reveals the host model (with
-     * its labeled base frequency); Gen 2 returns a virtualized stub.
+     * its labeled base frequency); Gen 2, or a Gen 1 sandbox whose
+     * cpuid is masked, returns the "Virtual CPU" stub. The reference is
+     * to the fleet's SKU catalog or to a static string, so it stays
+     * valid as long as the platform does; copy it to keep it longer.
      */
-    std::string cpuModelName() const;
+    const std::string &cpuModelName() const;
 
     /**
      * Read rdtsc and clock_gettime back-to-back.

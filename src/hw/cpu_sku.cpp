@@ -5,7 +5,7 @@
 
 #include "hw/cpu_sku.hpp"
 
-#include <cstdio>
+#include <charconv>
 
 #include "support/logging.hpp"
 
@@ -31,14 +31,19 @@ SkuCatalog::get(SkuId id) const
 }
 
 double
-SkuCatalog::labeledFrequencyHz(const std::string &model_name)
+SkuCatalog::labeledFrequencyHz(std::string_view model_name)
 {
     // Look for the "@ <num>GHz" suffix.
-    const auto at = model_name.rfind('@');
-    if (at == std::string::npos)
+    constexpr std::string_view kSuffix = "GHz";
+    const auto at = model_name.rfind("@ ");
+    if (at == std::string_view::npos || !model_name.ends_with(kSuffix))
         return 0.0;
+    const char *first = model_name.data() + at + 2;
+    const char *last = model_name.data() + model_name.size() -
+                       kSuffix.size();
     double ghz = 0.0;
-    if (std::sscanf(model_name.c_str() + at, "@ %lfGHz", &ghz) != 1)
+    const auto [end, ec] = std::from_chars(first, last, ghz);
+    if (ec != std::errc() || end != last)
         return 0.0;
     return ghz * 1e9;
 }

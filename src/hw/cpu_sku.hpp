@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace eaao::hw {
@@ -51,9 +52,11 @@ class SkuCatalog
     /**
      * Parse the labeled base frequency out of a model string, as the
      * attacker does when cpuid does not report the TSC frequency.
-     * @return frequency in Hz, or 0 if no "@ x.xxGHz" suffix is present.
+     * Allocation-free and correctly rounded, like strtod.
+     * @return frequency in Hz, or 0 unless the string ends in an
+     *         "@ x.xxGHz" suffix.
      */
-    static double labeledFrequencyHz(const std::string &model_name);
+    static double labeledFrequencyHz(std::string_view model_name);
 
   private:
     std::vector<CpuSku> skus_;

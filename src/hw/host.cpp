@@ -5,22 +5,29 @@
 
 #include "hw/host.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "support/logging.hpp"
-
 namespace eaao::hw {
+
+sim::SimTime
+sampleWallClock(const TimingNoiseConfig &cfg, sim::SimTime now,
+                sim::Rng &rng)
+{
+    const bool clean = rng.bernoulli(cfg.clean_fraction);
+    const double median = clean ? cfg.clean_median_s : cfg.dirty_median_s;
+    const double sigma = clean ? cfg.clean_sigma : cfg.dirty_sigma;
+    const double delay_s = rng.lognormal(std::log(median), sigma);
+    return now + sim::Duration::fromSecondsF(delay_s);
+}
 
 HostMachine::HostMachine(HostId id, SkuId sku_id, const CpuSku &sku,
                          sim::SimTime boot_time, double label_error_hz,
                          const TscConfig &tsc_cfg,
                          const TimingNoiseConfig &timing_cfg,
                          sim::Rng &rng)
-    : id_(id), sku_id_(sku_id), model_name_(sku.model_name),
-      vcpus_(sku.vcpus), memory_gb_(sku.memory_gb),
-      label_error_hz_(label_error_hz),
-      tsc_(boot_time, sku.nominal_hz, label_error_hz, tsc_cfg, rng),
-      timing_cfg_(timing_cfg)
+    : id_(id), sku_id_(sku_id), label_error_hz_(label_error_hz),
+      tsc_(boot_time, sku.nominal_hz, label_error_hz, tsc_cfg, rng)
 {
     noisy_timer_ = rng.bernoulli(timing_cfg.noisy_timer_fraction);
     if (noisy_timer_) {
@@ -35,31 +42,12 @@ HostMachine::HostMachine(HostId id, SkuId sku_id, const CpuSku &sku,
     }
 }
 
-sim::SimTime
-HostMachine::sampleWallClock(sim::SimTime now, sim::Rng &rng) const
-{
-    const bool clean = rng.bernoulli(timing_cfg_.clean_fraction);
-    const double median =
-        clean ? timing_cfg_.clean_median_s : timing_cfg_.dirty_median_s;
-    const double sigma =
-        clean ? timing_cfg_.clean_sigma : timing_cfg_.dirty_sigma;
-    const double delay_s = rng.lognormal(std::log(median), sigma);
-    return now + sim::Duration::fromSecondsF(delay_s);
-}
-
 void
 HostMachine::reboot(sim::SimTime when, const TscConfig &tsc_cfg,
                     sim::Rng &rng)
 {
     tsc_ = TscDomain(when, tsc_.nominalHz(), label_error_hz_, tsc_cfg,
                      rng);
-}
-
-void
-HostMachine::removeRngPressure()
-{
-    EAAO_ASSERT(rng_pressure_ > 0, "RNG pressure underflow");
-    --rng_pressure_;
 }
 
 } // namespace eaao::hw

@@ -2,18 +2,19 @@
  * @file
  * Physical host model.
  *
- * A HostMachine bundles the hardware the attack interacts with: the CPU
- * SKU (cpuid), the TSC domain (rdtsc / rdtscp), the wall-clock sampling
- * noise of the sandboxed environment, the quality of method-2 frequency
- * measurement on this host, and the shared hardware RNG that the covert
- * channel contends on.
+ * A HostMachine holds only what differs between hosts: its SKU id, its
+ * TSC domain (rdtsc / rdtscp), its clock crystal's label error, and the
+ * quality of method-2 frequency measurement on it. What a SKU shares
+ * (the cpuid model string, vCPUs, memory) lives once in the SkuCatalog,
+ * and the sandbox's wall-clock noise is one fleet-wide
+ * TimingNoiseConfig, so a host stays a small trivially copyable record.
  */
 
 #ifndef EAAO_HW_HOST_HPP
 #define EAAO_HW_HOST_HPP
 
 #include <cstdint>
-#include <optional>
+#include <type_traits>
 
 #include "hw/cpu_sku.hpp"
 #include "hw/tsc.hpp"
@@ -53,6 +54,17 @@ struct TimingNoiseConfig
 };
 
 /**
+ * Sample the sandbox wall clock, paired with an rdtsc at @p now.
+ *
+ * Returns the timestamp the attacker's clock_gettime would deliver: the
+ * true instant plus a non-negative pairing delay drawn from @p cfg's
+ * clean/dirty mixture. This delay is the dominant noise source in the
+ * derived T_boot and shapes the Fig. 4 recall curve.
+ */
+sim::SimTime sampleWallClock(const TimingNoiseConfig &cfg,
+                             sim::SimTime now, sim::Rng &rng);
+
+/**
  * One physical machine in the fleet.
  */
 class HostMachine
@@ -63,11 +75,11 @@ class HostMachine
      *
      * @param id Host identifier.
      * @param sku_id SKU index into the shared catalog.
-     * @param sku The SKU record (for nominal frequency / vcpus).
+     * @param sku The SKU record (for the nominal frequency).
      * @param boot_time When the host (last) booted.
      * @param label_error_hz Per-host true-vs-labeled frequency error.
      * @param tsc_cfg TSC refinement noise knobs.
-     * @param timing_cfg Sandbox timing-noise knobs.
+     * @param timing_cfg Sandbox timing-noise knobs (noisy-timer draw).
      * @param rng Stream used for per-boot draws (refinement, noisy flag).
      */
     HostMachine(HostId id, SkuId sku_id, const CpuSku &sku,
@@ -78,17 +90,8 @@ class HostMachine
     /** Host identifier. */
     HostId id() const { return id_; }
 
-    /** SKU index. */
+    /** SKU index into the catalog (model string, vCPUs, memory). */
     SkuId skuId() const { return sku_id_; }
-
-    /** Model string as cpuid reveals it. */
-    const std::string &modelName() const { return model_name_; }
-
-    /** Logical CPU count of the machine. */
-    std::uint32_t vcpus() const { return vcpus_; }
-
-    /** Installed memory, GB. */
-    double memoryGb() const { return memory_gb_; }
 
     /** The TSC domain (current boot epoch). */
     const TscDomain &tsc() const { return tsc_; }
@@ -100,16 +103,6 @@ class HostMachine
     double freqMeasSigmaHz() const { return freq_meas_sigma_hz_; }
 
     /**
-     * Sample the sandbox wall clock, paired with an rdtsc at @p now.
-     *
-     * Returns the timestamp the attacker's clock_gettime would deliver:
-     * the true instant plus a non-negative pairing delay drawn from the
-     * clean/dirty mixture. This delay is the dominant noise source in the
-     * derived T_boot and shapes the Fig. 4 recall curve.
-     */
-    sim::SimTime sampleWallClock(sim::SimTime now, sim::Rng &rng) const;
-
-    /**
      * Reboot the host at @p when: resets the TSC to zero and re-runs the
      * kernel frequency refinement. The label error is a property of the
      * physical clock crystal and persists across reboots.
@@ -117,31 +110,19 @@ class HostMachine
     void reboot(sim::SimTime when, const TscConfig &tsc_cfg,
                 sim::Rng &rng);
 
-    /**
-     * @name Shared hardware RNG (covert-channel substrate)
-     * Each pressuring party contributes one unit of contention; readers
-     * observe the total count. Bookkeeping only — semantics live in
-     * eaao::channel.
-     * @{
-     */
-    void addRngPressure() { ++rng_pressure_; }
-    void removeRngPressure();
-    std::uint32_t rngPressure() const { return rng_pressure_; }
-    /** @} */
-
   private:
     HostId id_;
     SkuId sku_id_;
-    std::string model_name_;
-    std::uint32_t vcpus_;
-    double memory_gb_;
     double label_error_hz_;
     TscDomain tsc_;
-    TimingNoiseConfig timing_cfg_;
-    bool noisy_timer_;
-    double freq_meas_sigma_hz_;
-    std::uint32_t rng_pressure_ = 0;
+    double freq_meas_sigma_hz_ = 0.0;
+    bool noisy_timer_ = false;
 };
+
+// A 100k-host fleet is one flat array of these: one cache line each,
+// copied with memcpy, nothing on the heap.
+static_assert(sizeof(HostMachine) <= 64);
+static_assert(std::is_trivially_copyable_v<HostMachine>);
 
 } // namespace eaao::hw
 

@@ -59,7 +59,7 @@ struct TscConfig
  * The counter resets to zero at host boot and increments at true_hz
  * irrespective of power state. Reads carry only sub-microsecond jitter;
  * the interesting noise lives in pairing the read with a wall-clock
- * sample (see Host::sampleWallClock).
+ * sample (see hw::sampleWallClock).
  */
 class TscDomain
 {

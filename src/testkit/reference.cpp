@@ -74,12 +74,12 @@ struct LiveSet
     fits(hw::HostId hid) const
     {
         const faas::OrchestratorConfig &cfg = platform.orchestrator().config();
-        const hw::HostMachine &m = platform.fleet().host(hid);
+        const hw::CpuSku &sku = platform.fleet().sku(hid);
         const double usable_vcpus =
-            static_cast<double>(m.vcpus()) * cfg.host_usable_fraction;
+            static_cast<double>(sku.vcpus) * cfg.host_usable_fraction;
         return vcpus[hid] + inst.size.vcpus <= usable_vcpus &&
                mem_gb[hid] + inst.size.memory_gb <=
-                   m.memoryGb() * cfg.host_usable_memory_fraction;
+                   sku.memory_gb * cfg.host_usable_memory_fraction;
     }
 };
 

@@ -22,23 +22,34 @@ namespace {
 using eaao::campaign::CampaignSpec;
 using eaao::campaign::SpecError;
 
-/** Committed campaign @p name with the line @p from replaced by @p to. */
+/**
+ * Committed campaign @p name with the line @p from replaced by @p to
+ * (@p line_no gets its number) and, when @p also_from is given, the
+ * line @p also_from replaced by @p also_to.
+ */
 std::string
 campaignWith(const std::string &name, const std::string &from,
-             const std::string &to, std::size_t &line_no)
+             const std::string &to, std::size_t &line_no,
+             const char *also_from = nullptr, const char *also_to = nullptr)
 {
     std::ifstream in(std::string(EAAO_CAMPAIGN_DIR) + "/" + name +
                      ".scenario");
     std::string text, line;
     line_no = 0;
+    bool also_found = false;
     for (std::size_t n = 1; std::getline(in, line); ++n) {
         if (line == from) {
             line = to;
             line_no = n;
+        } else if (also_from != nullptr && line == also_from) {
+            line = also_to;
+            also_found = true;
         }
         text += line + "\n";
     }
     EXPECT_NE(line_no, 0u) << name << " has no line '" << from << "'";
+    EXPECT_TRUE(also_from == nullptr || also_found)
+        << name << " has no line '" << also_from << "'";
     return text;
 }
 
@@ -66,12 +77,16 @@ TEST(ErrorHandling, HostileDirectiveTokensFailBeforeAnyTrial)
         const char *campaign;
         const char *from;
         const char *to;
-        const char *message;
+        const char *message; //!< names the line of `from`
+        const char *also_from = nullptr;
+        const char *also_to = nullptr;
     };
     // Each bad directive line is the last of its kind, so a program
     // that ran the good lines' trials first would simulate events. The
     // key lines and loadgen's tenants must be refused before any
-    // platform is built: at the parent they crashed or wrapped.
+    // platform is built: at the parent they crashed or wrapped. The
+    // span cases keep each key inside its bound; only the count times
+    // the minutes runs past SimTime's range.
     const Case cases[] = {
         {"sec52_account_scaling", "point 3 6 10", "point 1 x 1000",
          "'point' expects a number, got 'x'"},
@@ -104,12 +119,36 @@ TEST(ErrorHandling, HostileDirectiveTokensFailBeforeAnyTrial)
          "home shard 99999 is out of range: us-east1 has shards 0..909"},
         {"loadgen_slo_sweep", "account 3 1000", "account 3 1e20",
          "'account' expects an integer in 0..4294967295, got '1e20'"},
+        {"fig05_expiration_cdf", "hours = 168", "hours = 12",
+         "'hours' expects at least 24 (shorter fingerprint histories are "
+         "not counted), got 12"},
+        {"fig07_exp2_same_service", "interval_minutes = 45",
+         "interval_minutes = 525600",
+         "800 launches x 525600 minutes spans more than a century of "
+         "simulated time",
+         "launches = 6", "launches = 400"},
+        {"fig09_exp4_short_interval", "main_run 91 10", "main_run 91 525600",
+         "400 launches x 525600 minutes spans more than a century of "
+         "simulated time",
+         "launches = 6", "launches = 400"},
+        {"fig10_exp4_episodes", "cooldown_minutes = 45",
+         "cooldown_minutes = 525600",
+         "400 episodes x 525600 minutes spans more than a century of "
+         "simulated time",
+         "episodes = 6", "episodes = 400"},
+        {"sec52_repeat_attack", "track_gap_minutes = 10",
+         "track_gap_minutes = 525600",
+         "40000 samples x 525600 minutes spans more than a century of "
+         "simulated time",
+         "track_samples = 6", "track_samples = 400"},
     };
     for (const Case &c : cases) {
         std::size_t line_no = 0;
         const std::string path = std::string(c.campaign) + ".scenario";
         const CampaignSpec spec = CampaignSpec::parse(
-            campaignWith(c.campaign, c.from, c.to, line_no), path);
+            campaignWith(c.campaign, c.from, c.to, line_no, c.also_from,
+                         c.also_to),
+            path);
         const std::uint64_t events = eaao::support::totalEventsProcessed();
         EXPECT_EQ(runError(spec), path + ":" + std::to_string(line_no) +
                                       ": " + c.message)
@@ -117,6 +156,23 @@ TEST(ErrorHandling, HostileDirectiveTokensFailBeforeAnyTrial)
         // No trial simulated anything before the line was refused.
         EXPECT_EQ(eaao::support::totalEventsProcessed(), events) << c.to;
     }
+}
+
+TEST(ErrorHandling, Fig05RefusesADataCenterWithNoDayOfHistory)
+{
+    // Every tracked instance restarts every hour, so no history spans
+    // the 24 h the CDF counts. That shows only after the trials ran.
+    std::size_t line_no = 0;
+    const std::string path = "fig05_expiration_cdf.scenario";
+    const CampaignSpec spec = CampaignSpec::parse(
+        campaignWith("fig05_expiration_cdf", "hours = 168", "hours = 24",
+                     line_no, "restart_prob_per_hour = 0.009",
+                     "restart_prob_per_hour = 1"),
+        path);
+    EXPECT_EQ(runError(spec),
+              path + ":" + std::to_string(line_no) +
+                  ": us-east1 has no fingerprint history of 24 h or more; "
+                  "raise 'hours' or lower 'restart_prob_per_hour'");
 }
 
 TEST(Logging, AccountScalingRestoresTheCallersLevel)

@@ -27,22 +27,31 @@ makeFleet(const DataCenterProfile &profile, std::uint64_t seed = 1)
 
 TEST(Fleet, ShardPartitionCoversAllHosts)
 {
-    const auto profile = DataCenterProfile::usEast1();
-    Fleet fleet = makeFleet(profile);
-    EXPECT_EQ(fleet.size(), profile.host_count);
-    EXPECT_EQ(fleet.shardCount(),
-              (profile.host_count + profile.shard_size - 1) /
-                  profile.shard_size);
+    // The presets, and a fleet whose last shard is partial.
+    DataCenterProfile ragged = DataCenterProfile::usWest1();
+    ragged.host_count = 2 * ragged.shard_size + 7;
+    for (const DataCenterProfile &profile :
+         {DataCenterProfile::usEast1(), DataCenterProfile::usCentral1(),
+          DataCenterProfile::usWest1(), ragged}) {
+        Fleet fleet = makeFleet(profile);
+        EXPECT_EQ(fleet.size(), profile.host_count);
+        EXPECT_EQ(fleet.shardCount(),
+                  (profile.host_count + profile.shard_size - 1) /
+                      profile.shard_size);
 
-    std::size_t total = 0;
-    for (std::uint32_t s = 0; s < fleet.shardCount(); ++s) {
-        const auto &members = fleet.shardHosts(s);
-        total += members.size();
-        EXPECT_LE(members.size(), profile.shard_size);
-        for (const hw::HostId h : members)
-            EXPECT_EQ(fleet.shardOf(h), s);
+        std::size_t total = 0;
+        for (std::uint32_t s = 0; s < fleet.shardCount(); ++s) {
+            const auto &members = fleet.shardHosts(s);
+            total += members.size();
+            EXPECT_LE(members.size(), profile.shard_size);
+            for (const hw::HostId h : members)
+                EXPECT_EQ(fleet.shardOf(h), s);
+        }
+        EXPECT_EQ(total, fleet.size());
+        for (hw::HostId h = 0; h < fleet.size(); ++h)
+            ASSERT_EQ(fleet.shardOf(h), h / profile.shard_size)
+                << profile.name << " host " << h;
     }
-    EXPECT_EQ(total, fleet.size());
 }
 
 TEST(Fleet, PopularityRanksArePerShardPermutations)

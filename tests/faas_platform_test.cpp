@@ -105,8 +105,9 @@ TEST(Platform, Gen1SandboxRevealsHostModelAndTsc)
     for (const InstanceId id : ids) {
         SandboxView sbx = p.sandbox(id);
         EXPECT_EQ(sbx.env(), ExecEnv::Gen1);
-        const std::string model = sbx.cpuModelName();
-        EXPECT_EQ(model, p.fleet().host(p.oracleHostOf(id)).modelName());
+        const std::string &model = sbx.cpuModelName();
+        // The catalog's own string, not a copy of it.
+        EXPECT_EQ(&model, &p.fleet().sku(p.oracleHostOf(id)).model_name);
         EXPECT_GT(hw::SkuCatalog::labeledFrequencyHz(model), 0.0);
 
         // The TSC reflects the host's uptime (hosts booted >= 1 h ago).

@@ -132,7 +132,7 @@ class StressFixture
 
         // Capacity budgets.
         for (const auto &[host, used] : vcpus_used) {
-            ASSERT_LE(used, platform_->fleet().host(host).vcpus() *
+            ASSERT_LE(used, platform_->fleet().sku(host).vcpus *
                                     orch.config().host_usable_fraction +
                                 1e-9);
         }

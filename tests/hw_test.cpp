@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "hw/cpu_sku.hpp"
 #include "hw/host.hpp"
@@ -22,8 +24,21 @@ TEST(SkuCatalog, ParsesLabeledFrequency)
     EXPECT_DOUBLE_EQ(
         SkuCatalog::labeledFrequencyHz("Intel Xeon CPU @ 2.25GHz"),
         2.25e9);
-    EXPECT_DOUBLE_EQ(SkuCatalog::labeledFrequencyHz("Virtual CPU"), 0.0);
-    EXPECT_DOUBLE_EQ(SkuCatalog::labeledFrequencyHz(""), 0.0);
+    // Every SKU parses to the bits strtod gives its digits (what the
+    // "%lf" parse computed), so fingerprints keep their exact T_boot.
+    const SkuCatalog catalog;
+    for (SkuId id = 0; id < catalog.size(); ++id) {
+        const std::string &model = catalog.get(id).model_name;
+        const std::size_t digits = model.rfind("@ ") + 2;
+        EXPECT_EQ(SkuCatalog::labeledFrequencyHz(model),
+                  std::strtod(model.c_str() + digits, nullptr) * 1e9)
+            << model;
+    }
+    for (const char *unlabeled : {"Virtual CPU", "", "@", "@ GHz",
+                                  "x @ 2.00", "x @ 2.00MHz",
+                                  "x @ 2.00 GHz"})
+        EXPECT_EQ(SkuCatalog::labeledFrequencyHz(unlabeled), 0.0)
+            << unlabeled;
 }
 
 TEST(SkuCatalog, CatalogEntriesAreSelfConsistent)
@@ -112,8 +127,10 @@ class HostMachineTest : public ::testing::Test
 TEST_F(HostMachineTest, ExposesSkuMetadata)
 {
     HostMachine host = makeHost(1);
-    EXPECT_EQ(host.modelName(), "Intel Xeon CPU @ 2.00GHz");
-    EXPECT_GT(host.vcpus(), 0u);
+    const SkuCatalog catalog;
+    const CpuSku &sku = catalog.get(host.skuId());
+    EXPECT_EQ(sku.model_name, "Intel Xeon CPU @ 2.00GHz");
+    EXPECT_GT(sku.vcpus, 0u);
     EXPECT_FALSE(host.noisyTimer());
     EXPECT_DOUBLE_EQ(host.freqMeasSigmaHz(), 30.0);
 }
@@ -127,12 +144,12 @@ TEST_F(HostMachineTest, NoisyTimerHostsGetLargeSigma)
 
 TEST_F(HostMachineTest, WallClockDelayIsNonNegativeAndMostlySmall)
 {
-    HostMachine host = makeHost(3);
+    const TimingNoiseConfig timing;
     sim::Rng rng(7);
     const sim::SimTime now;
     int clean = 0;
     for (int i = 0; i < 2000; ++i) {
-        const sim::SimTime sample = host.sampleWallClock(now, rng);
+        const sim::SimTime sample = sampleWallClock(timing, now, rng);
         const double delay = (sample - now).secondsF();
         ASSERT_GT(delay, 0.0);
         ASSERT_LT(delay, 1.0);
@@ -154,17 +171,6 @@ TEST_F(HostMachineTest, RebootResetsCounterKeepsCrystal)
     EXPECT_EQ(host.tsc().idealRead(when), 0u);
     // Label error is a crystal property: unchanged across reboots.
     EXPECT_DOUBLE_EQ(host.tsc().trueHz(), true_before);
-}
-
-TEST_F(HostMachineTest, RngPressureBookkeeping)
-{
-    HostMachine host = makeHost(5);
-    EXPECT_EQ(host.rngPressure(), 0u);
-    host.addRngPressure();
-    host.addRngPressure();
-    EXPECT_EQ(host.rngPressure(), 2u);
-    host.removeRngPressure();
-    EXPECT_EQ(host.rngPressure(), 1u);
 }
 
 } // namespace

@@ -269,8 +269,7 @@ TEST_P(OrchestratorInvariants, CapacityAndAccountingHold)
         ++live[inst.account];
     }
     for (const auto &[host, vcpus] : used) {
-        EXPECT_LE(vcpus,
-                  p.fleet().host(host).vcpus() * 0.85 + 1e-9);
+        EXPECT_LE(vcpus, p.fleet().sku(host).vcpus * 0.85 + 1e-9);
     }
 
     // Invariant 2: account live counts agree with the records.
